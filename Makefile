@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-test serve-test autopar-test compile-test lint lint-go fuzz cover bench bench-rt ci
+.PHONY: build test vet race race-test serve-test autopar-test compile-test lint lint-go fuzz cover bench bench-rt bench-smoke ci
 
 build:
 	$(GO) build ./...
@@ -40,11 +40,15 @@ autopar-test:
 	$(GO) test -race ./internal/serve -run AutoParallelize
 	$(GO) test -race ./cmd/tpal-lint -run Autopar
 
-# compile-test runs the closure-threaded backend's differential-oracle
-# suite under the Go race detector: the corpus, minipar samples, fault
-# paths, budget/cancellation cuts, and the backend seam, every case
-# cross-checked against the interpreter across the schedule matrix
-# (lockstep, random-order seeds, depth-first, signal-period splits).
+# compile-test runs the engine and both of its lowerings under the Go
+# race detector: the closure-threaded backend's differential-oracle
+# suite (the corpus, minipar samples, fault paths, budget/cancellation
+# cuts, and the backend seam, every case cross-checked against the
+# interpreter lowering across the schedule matrix — lockstep,
+# random-order seeds, depth-first, signal-period splits),
+# TestSchedulerGolden holding both lowerings to the scheduler digests
+# in machine/testdata/sched_golden.json, and the machine package's own
+# suite.
 compile-test:
 	$(GO) test -race ./internal/tpal/machine/compile ./internal/tpal/machine
 	$(GO) test -race ./internal/serve -run CompiledBackend
@@ -89,12 +93,13 @@ fuzz:
 
 # cover enforces a statement-coverage floor on internal/tpal/analysis
 # — the package whose verdicts every other surface trusts (serve
-# admission, the optimizer certifier, autopar, the lint CLI) — and on
-# the closure-threaded backend, whose lowering must stay observably
-# identical to the interpreter. The profile lands in cover.out
+# admission, the optimizer certifier, autopar, the lint CLI) — on the
+# closure-threaded lowering, which must stay observably identical to
+# the interpreter, and on the machine package, where the one engine
+# both lowerings run on now lives. The profile lands in cover.out
 # (gitignored); the floor is a ratchet — raise it when coverage grows,
 # never lower it to admit a regression.
-COVER_PKG   = ./internal/tpal/analysis ./internal/tpal/machine/compile
+COVER_PKG   = ./internal/tpal/analysis ./internal/tpal/machine/compile ./internal/tpal/machine
 COVER_FLOOR = 80.0
 
 cover:
@@ -119,9 +124,17 @@ bench:
 # sanitizer), and the corpus promotion-gap check against the static
 # liveness bounds. It fails if the tracer delta on plus-reduce-array
 # exceeds the 5% overhead contract (DESIGN.md §11), the compiled
-# backend's plus-reduce-array speedup falls below the 3x dispatch
-# floor (DESIGN.md §15), or an observed gap exceeds its static bound.
+# backend's plus-reduce-array ns/step is worse than the committed
+# baseline it overwrites by more than measured noise (DESIGN.md §15),
+# or an observed gap exceeds its static bound.
 bench-rt:
 	$(GO) run ./cmd/tpal-trace -bench-rt -reps 5 -out BENCH_rt.json
 
-ci: vet lint-go build race race-test serve-test autopar-test compile-test lint fuzz cover bench-rt
+# bench-smoke vets and tests the front-door benchmark harness.
+# benchmark/ is its own Go module, so the root `go build ./...` and
+# `go test ./...` never compile it: without this stage an API change
+# under internal/ can break `bash benchmark/run.sh` unnoticed.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+ci: vet lint-go build race race-test serve-test autopar-test compile-test lint fuzz cover bench-rt bench-smoke

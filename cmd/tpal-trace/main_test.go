@@ -87,10 +87,40 @@ func TestBenchRTWritesBaseline(t *testing.T) {
 			t.Errorf("%s: missing sanitizer walls: %+v", r.Name, r)
 		}
 	}
-	// At toy scale the speedup value is noise, but the gate must be
-	// wired to the first kernel row with the contractual floor.
-	if doc.BackendGate.Benchmark != doc.MachineBackend[0].Name || doc.BackendGate.Floor != backendSpeedupFloor {
-		t.Fatalf("backend gate misconfigured: %+v", doc.BackendGate)
+	// A fresh output path has no baseline to regress against: the gate
+	// must be wired to the first kernel row and pass vacuously.
+	if g := doc.BackendGate; g.Benchmark != doc.MachineBackend[0].Name || g.NSPerStep <= 0 || g.BaselineNSPerStep != 0 || !g.Pass {
+		t.Fatalf("backend gate misconfigured: %+v", g)
+	}
+}
+
+// TestBackendGate pins the dispatch gate's arithmetic: compiled ns/step
+// against the replaced baseline, tolerance the larger of the run's own
+// spread and the noise floor, baselines at another scale ignored.
+func TestBackendGate(t *testing.T) {
+	row := backendRow{Name: "plus-reduce-array", Steps: 1000, WallCompiledNS: 40_000, CompiledSpread: 0.02}
+	base := func(ns int64, scale float64) *benchRTDoc {
+		d := &benchRTDoc{MachineBackend: []backendRow{{Name: "plus-reduce-array", Steps: 1000, WallCompiledNS: ns}}}
+		d.Config.Scale = scale
+		return d
+	}
+	for _, tc := range []struct {
+		name     string
+		baseline *benchRTDoc
+		spread   float64
+		pass     bool
+	}{
+		{"no baseline", nil, 0.02, true},
+		{"faster than baseline", base(50_000, 1), 0.02, true},
+		{"within the noise floor", base(37_000, 1), 0.02, true},
+		{"regressed beyond the floor", base(30_000, 1), 0.02, false},
+		{"regressed but inside this run's spread", base(30_000, 1), 0.40, true},
+		{"baseline at another scale", base(10_000, 0.5), 0.02, true},
+	} {
+		row.CompiledSpread = tc.spread
+		if g := gateBackend(row, 1, tc.baseline); g.Pass != tc.pass || g.NSPerStep != 40 {
+			t.Errorf("%s: gate %+v, want pass=%v", tc.name, g, tc.pass)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"tpal/internal/minipar"
 	"tpal/internal/minipar/autopar"
@@ -111,6 +112,15 @@ type admission struct {
 	// The quote is derived from the optimized bounds, so the fuel grant
 	// re-prices the program the pool actually executes.
 	optimized *tpal.Program
+
+	// compiled is the closure-threaded form of the program the pool
+	// executes, lowered at most once per admission (lowerOnce) when the
+	// compiled backend first needs it; nil before that and after a
+	// lowering failure, which falls back to the interpreter. It lives
+	// here so the lowered program shares the verdict's cache slot and
+	// its eviction.
+	lowerOnce sync.Once
+	compiled  *compile.Program
 }
 
 // admitKey keys the analysis cache: the program fingerprint plus the
@@ -138,7 +148,7 @@ func (s *Service) admit(p *tpal.Program, entry []tpal.Reg) *admission {
 	key := admitKey(fp, entry)
 
 	s.mu.Lock()
-	if a, ok := s.analysisCache[key]; ok {
+	if a, ok := s.admissions.get(key); ok {
 		s.metrics.AnalysisHits++
 		s.mu.Unlock()
 		return a
@@ -148,12 +158,12 @@ func (s *Service) admit(p *tpal.Program, entry []tpal.Reg) *admission {
 	a := s.analyze(p, entry, fp)
 
 	s.mu.Lock()
-	if prev, ok := s.analysisCache[key]; ok { // lost a concurrent-analysis race
+	if prev, ok := s.admissions.get(key); ok { // lost a concurrent-analysis race
 		s.metrics.AnalysisHits++
 		s.mu.Unlock()
 		return prev
 	}
-	s.analysisCache[key] = a
+	s.admissions.put(key, a)
 	s.metrics.Analyses++
 	s.mu.Unlock()
 	return a
@@ -193,40 +203,36 @@ func (s *Service) analyze(p *tpal.Program, entry []tpal.Reg, fp string) *admissi
 }
 
 // compiledFor returns the closure-threaded form of the program the
-// pool will execute, memoized beside the analysis cache under the same
-// admission key. On a miss it re-analyzes the program being lowered —
-// which may be the optimizer's rewrite, whose diagnostics differ from
-// the submitted form's admission report — so the lowering hoists
-// exactly the metafunction checks provable for the code that runs.
-// A lowering failure falls back to the interpreter (nil).
-func (s *Service) compiledFor(key string, p *tpal.Program, entry []tpal.Reg) *compile.Program {
-	s.mu.Lock()
-	if cp, ok := s.compiledCache[key]; ok {
-		s.metrics.CompileCacheHits++
-		s.mu.Unlock()
-		return cp
-	}
-	s.mu.Unlock()
-
-	report := analysis.Analyze(p, analysis.Options{EntryRegs: entry})
-	opts := compile.Options{}
-	if !analysis.HasErrors(report.Diags) {
-		opts.Report = report
-	}
-	cp, err := compile.Compile(p, opts)
-	if err != nil {
+// pool will execute, lowered once per admission entry and stored on
+// it. The first caller re-analyzes the program being lowered — which
+// may be the optimizer's rewrite, whose diagnostics differ from the
+// submitted form's admission report — so the lowering hoists exactly
+// the metafunction checks provable for the code that runs; every later
+// caller is a cache hit. A lowering failure falls back to the
+// interpreter (nil).
+func (s *Service) compiledFor(a *admission, p *tpal.Program, entry []tpal.Reg) *compile.Program {
+	lowered := false
+	a.lowerOnce.Do(func() {
+		report := analysis.Analyze(p, analysis.Options{EntryRegs: entry})
+		opts := compile.Options{}
+		if !analysis.HasErrors(report.Diags) {
+			opts.Report = report
+		}
+		if cp, err := compile.Compile(p, opts); err == nil {
+			a.compiled, lowered = cp, true
+		}
+	})
+	cp := a.compiled
+	if cp == nil {
 		return nil
 	}
-
 	s.mu.Lock()
-	if prev, ok := s.compiledCache[key]; ok { // lost a concurrent-compile race
+	if lowered {
+		s.metrics.Compiles++
+		s.metrics.ChecksHoisted += int64(cp.Hoisted())
+	} else {
 		s.metrics.CompileCacheHits++
-		s.mu.Unlock()
-		return prev
 	}
-	s.compiledCache[key] = cp
-	s.metrics.Compiles++
-	s.metrics.ChecksHoisted += int64(cp.Hoisted())
 	s.mu.Unlock()
 	return cp
 }

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tpal/internal/tpal/machine"
@@ -115,5 +118,79 @@ func TestCompiledBackendMinipar(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want.Stats, got.Stats) {
 		t.Fatalf("stats divergence:\n  interp:   %+v\n  compiled: %+v", want.Stats, got.Stats)
+	}
+}
+
+// TestCompiledBackendAdmissionCacheBounded pins the admission cache's
+// bound: verdicts (and the lowered programs stored on them) are keyed by
+// the fingerprint of untrusted input, so a tenant streaming distinct
+// programs must not grow the cache past Config.ResultCacheCap, an
+// evicted program must re-admit with the identical verdict and quote,
+// and the /metrics counters must keep their names and meaning.
+func TestCompiledBackendAdmissionCacheBounded(t *testing.T) {
+	const cacheCap = 4
+	s := newTestService(t, Config{Workers: 2, Backend: machine.BackendCompiled, ResultCacheCap: cacheCap})
+	submit := func(i int, a int64) JobView {
+		src := strings.Replace(programs.ProdSource, "r := 0\n", fmt.Sprintf("r := 0\n  k := %d\n", i), 1)
+		j, err := s.Submit(SubmitRequest{Tenant: "stream", Source: src, Args: map[string]int64{"a": a, "b": 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := await(t, j)
+		if v.Status != StatusDone {
+			t.Fatalf("program %d: status %s (%s)", i, v.Status, v.Error)
+		}
+		return v
+	}
+
+	const distinct = 3 * cacheCap
+	first := submit(0, 5)
+	for i := 1; i < distinct; i++ {
+		submit(i, 5)
+	}
+	s.mu.Lock()
+	size := s.admissions.len()
+	s.mu.Unlock()
+	if size > cacheCap {
+		t.Fatalf("admission cache holds %d entries after %d distinct programs, cap %d", size, distinct, cacheCap)
+	}
+
+	// Program 0 was evicted long ago: it re-analyzes and re-lowers, and
+	// must come out with the same verdict, quote, and result.
+	again := submit(0, 5)
+	if again.Cached {
+		t.Fatal("result store should have evicted program 0 as well")
+	}
+	if again.Fingerprint != first.Fingerprint || !reflect.DeepEqual(again.Quote, first.Quote) ||
+		!reflect.DeepEqual(again.Diags, first.Diags) || !reflect.DeepEqual(again.Result, first.Result) {
+		t.Fatalf("re-admission diverged:\n  first: %+v quote %+v\n  again: %+v quote %+v", first, first.Quote, again, again.Quote)
+	}
+	// Still resident now: new arguments hit both the verdict and the
+	// lowered program stored on it.
+	submit(0, 6)
+
+	m := s.Snapshot()
+	if m.Analyses != distinct+1 || m.AnalysisHits != 1 {
+		t.Errorf("analyses = %d hits = %d, want %d and 1", m.Analyses, m.AnalysisHits, distinct+1)
+	}
+	if m.Compiles != distinct+1 || m.CompileCacheHits != 1 || m.CompiledRuns != distinct+2 {
+		t.Errorf("compiles = %d hits = %d runs = %d, want %d, 1, %d",
+			m.Compiles, m.CompileCacheHits, m.CompiledRuns, distinct+1, distinct+2)
+	}
+	if m.ChecksHoisted == 0 {
+		t.Error("ChecksHoisted = 0, want > 0")
+	}
+	wire, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(wire, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"compiles", "compile_cache_hits", "compiled_runs", "checks_hoisted", "analyses", "analysis_cache_hits"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("/metrics lost key %q", k)
+		}
 	}
 }

@@ -82,7 +82,7 @@ func (s *Service) processBatch(batch []*submitWork) {
 	s.mu.Lock()
 	s.metrics.Batches++
 	for _, w := range batch {
-		if a, ok := s.analysisCache[w.key]; ok {
+		if a, ok := s.admissions.get(w.key); ok {
 			w.adm = a
 			s.metrics.AnalysisHits++
 			continue
@@ -108,13 +108,13 @@ func (s *Service) processBatch(batch []*submitWork) {
 		s.mu.Lock()
 		for key, group := range need {
 			a := group[0].adm
-			if prev, ok := s.analysisCache[key]; ok {
+			if prev, ok := s.admissions.get(key); ok {
 				// Lost a race against a direct admit() caller; their verdict
 				// is for the same key, so every batch member is a cache hit.
 				a = prev
 				s.metrics.AnalysisHits += int64(len(group))
 			} else {
-				s.analysisCache[key] = a
+				s.admissions.put(key, a)
 				s.metrics.Analyses++
 				s.metrics.AnalysisHits += int64(len(group) - 1)
 			}
@@ -126,7 +126,7 @@ func (s *Service) processBatch(batch []*submitWork) {
 	}
 
 	// Phase 3: compiled backend — lower each admitted program (the
-	// compiled cache dedupes repeats within and across batches).
+	// admission entry dedupes repeats within and across batches).
 	if s.cfg.Backend == machine.BackendCompiled {
 		for _, w := range batch {
 			if w.adm.rejected {
@@ -136,7 +136,7 @@ func (s *Service) processBatch(batch []*submitWork) {
 			if w.adm.optimized != nil {
 				prog = w.adm.optimized
 			}
-			w.compiled = s.compiledFor(w.key, prog, w.entry)
+			w.compiled = s.compiledFor(w.adm, prog, w.entry)
 		}
 	}
 
@@ -223,7 +223,7 @@ func (s *Service) finalizeBatch(batch []*submitWork) {
 		coalesce := inflight && !j.traced && primary.Quote.Budget == j.Quote.Budget
 		var cached *cachedResult
 		if !j.traced {
-			cached = s.results.get(j.cacheKey)
+			cached, _ = s.results.get(j.cacheKey)
 		}
 
 		switch {

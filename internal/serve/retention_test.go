@@ -28,6 +28,13 @@ func TestJobRetentionCap(t *testing.T) {
 		}
 		await(t, j)
 		ids = append(ids, j.ID)
+		// A retained record is a view: the per-submission parsed
+		// program and registers must not be retained with it.
+		s.mu.Lock()
+		if j.prog != nil || j.compiled != nil || j.regs != nil {
+			t.Errorf("terminal job %s still holds its execution inputs", j.ID)
+		}
+		s.mu.Unlock()
 	}
 
 	s.mu.Lock()

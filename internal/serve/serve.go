@@ -37,7 +37,6 @@ import (
 
 	"tpal/internal/tpal"
 	"tpal/internal/tpal/machine"
-	"tpal/internal/tpal/machine/compile"
 	"tpal/internal/trace"
 )
 
@@ -246,10 +245,9 @@ type Service struct {
 	seq       int64
 	draining  bool
 
-	analysisCache map[string]*admission
-	results       *resultStore
-	compiledCache map[string]*compile.Program
-	metrics       *Metrics
+	admissions *lruStore[*admission]
+	results    *lruStore[*cachedResult]
+	metrics    *Metrics
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -272,15 +270,14 @@ func (s *Service) setRunningHook(f func(*Job)) {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:           cfg,
-		jobs:          make(map[string]*Job),
-		inflight:      make(map[string]*Job),
-		primaries:     make(map[string]*Job),
-		analysisCache: make(map[string]*admission),
-		results:       newResultStore(cfg.ResultCacheCap),
-		compiledCache: make(map[string]*compile.Program),
-		metrics:       newMetrics(),
-		started:       time.Now(),
+		cfg:        cfg,
+		jobs:       make(map[string]*Job),
+		inflight:   make(map[string]*Job),
+		primaries:  make(map[string]*Job),
+		admissions: newLRUStore[*admission](cfg.ResultCacheCap),
+		results:    newLRUStore[*cachedResult](cfg.ResultCacheCap),
+		metrics:    newMetrics(),
+		started:    time.Now(),
 	}
 	s.idleCond = sync.NewCond(&s.idleMu)
 	s.shards = make([]*shard, cfg.Shards)
@@ -582,6 +579,10 @@ func (s *Service) finishLocked(j *Job) {
 		s.finishLocked(f)
 	}
 	j.followers = nil
+	// A terminal job is kept for its view only. Dropping the execution
+	// inputs here — each submission parses its own program — is what
+	// keeps the retained record small.
+	j.prog, j.compiled, j.regs = nil, nil, nil
 	close(j.done)
 	for _, c := range j.subs {
 		close(c)

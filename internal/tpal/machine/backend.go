@@ -2,24 +2,27 @@ package machine
 
 import (
 	"fmt"
+	"strings"
 
 	"tpal/internal/tpal"
+	"tpal/internal/tpal/analysis"
 )
 
 // Backend selects which execution engine runs the program.
 type Backend uint8
 
 const (
-	// BackendInterp is the reference interpreter in this package: one
-	// switch dispatch per decoded instruction. It is the differential
-	// oracle every other backend is checked against.
+	// BackendInterp is the reference lowering in this package: every
+	// Op decodes its tpal.Instr and switches on it, performing every
+	// dynamic check. It is the differential oracle every other backend
+	// is checked against.
 	BackendInterp Backend = iota
-	// BackendCompiled is the closure-threaded backend in
-	// machine/compile: blocks pre-lowered to chains of Go closures with
-	// registers in a flat array and branch targets resolved to closure
-	// pointers at compile time. Behaviorally identical to the
-	// interpreter (results, faults, Stats, traces, race verdicts) by
-	// contract.
+	// BackendCompiled is the closure-threaded lowering in
+	// machine/compile: one specialized Go closure per instruction, with
+	// operands and branch targets resolved at compile time and
+	// verifier-discharged checks elided. It runs on the same engine and
+	// is behaviorally identical to the interpreter (results, faults,
+	// Stats, traces, race verdicts) by contract.
 	BackendCompiled
 )
 
@@ -57,8 +60,8 @@ func RegisterCompiledBackend(run func(prog *tpal.Program, cfg Config) (Result, e
 	compiledRunner = run
 }
 
-// RunBackend executes the program on the backend cfg.Backend selects.
-// With BackendInterp (the zero value) it is machine.Run; with
+// RunBackend executes the program under the lowering cfg.Backend
+// selects. With BackendInterp (the zero value) it is machine.Run; with
 // BackendCompiled it dispatches to machine/compile, which must be
 // linked in (blank-import it or use a surface that does).
 func RunBackend(prog *tpal.Program, cfg Config) (Result, error) {
@@ -74,15 +77,30 @@ func RunBackend(prog *tpal.Program, cfg Config) (Result, error) {
 	return Result{}, fmt.Errorf("%w: unknown backend %d", ErrMachine, cfg.Backend)
 }
 
-// NewJoinRecord allocates a join record for a non-interpreter backend;
-// id is the backend's jralloc sequence number and cont the jtppt
-// continuation label.
-func NewJoinRecord(id int, cont tpal.Label) *JoinRecord {
-	return &JoinRecord{id: id, Cont: cont}
+// Verify is the gate every backend applies before execution: the
+// program is validated structurally, then — unless cfg.SkipVerify is
+// set — checked by the static verifier with cfg.Regs as the
+// assumed-initialized entry registers; verifier errors reject the
+// program with ErrVerify. The analysis report (nil under SkipVerify) is
+// returned for lowerings that hoist checks on it.
+func Verify(prog *tpal.Program, cfg Config) (*analysis.Report, error) {
+	if err := prog.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.SkipVerify {
+		return nil, nil
+	}
+	entry := make([]tpal.Reg, 0, len(cfg.Regs))
+	for r := range cfg.Regs {
+		entry = append(entry, r)
+	}
+	report := analysis.Analyze(prog, analysis.Options{EntryRegs: entry})
+	if errs := analysis.Errors(report.Diags); len(errs) > 0 {
+		msgs := make([]string, len(errs))
+		for i, d := range errs {
+			msgs[i] = d.String()
+		}
+		return nil, fmt.Errorf("%w:\n  %s", ErrVerify, strings.Join(msgs, "\n  "))
+	}
+	return report, nil
 }
-
-// AddEdge registers one unresolved fork edge on the record.
-func (j *JoinRecord) AddEdge() { j.edges++ }
-
-// DropEdge unregisters a resolved fork edge.
-func (j *JoinRecord) DropEdge() { j.edges-- }

@@ -13,13 +13,18 @@ import (
 // BenchmarkDispatch measures per-instruction dispatch cost on both
 // backends across the corpus, in several machine configurations:
 //
-//   serial     — no heartbeat, single task, pure dispatch loop
-//   heartbeat  — hb=30, promotion checks and forks on the hot path
-//   race       — hb=30 with the vector-clock sanitizer shadowing memory
+//	serial     — no heartbeat, single task, pure dispatch loop
+//	heartbeat  — hb=30, promotion checks and forks on the hot path
+//	race       — hb=30 with the vector-clock sanitizer shadowing memory
+//	fanout     — fib only, hb=2 under Lockstep: every promotion point
+//	             forks, so rounds run hundreds of live tasks (peak 466)
+//	             and the cost of the schedule loop itself — retiring a
+//	             task mid-round, snapshotting the round — is on the hot
+//	             path (hb=1 livelocks fib, so 2 is the widest that halts)
 //
 // Each sub-benchmark reports ns/step (amortized per machine
-// transition) so the interp/compiled columns are directly comparable;
-// the compiled rows exist to keep the ≥3x dispatch win honest.
+// transition) so the interp/compiled columns are directly comparable.
+// Both columns run the same engine; the difference is dispatch alone.
 func BenchmarkDispatch(b *testing.B) {
 	cases := []struct {
 		name string
@@ -33,10 +38,12 @@ func BenchmarkDispatch(b *testing.B) {
 	modes := []struct {
 		name string
 		cfg  machine.Config
+		only string // when set, the one case the mode applies to
 	}{
-		{"serial", machine.Config{}},
-		{"heartbeat", machine.Config{Heartbeat: 30}},
-		{"race", machine.Config{Heartbeat: 30, RaceDetect: true}},
+		{name: "serial"},
+		{name: "heartbeat", cfg: machine.Config{Heartbeat: 30}},
+		{name: "race", cfg: machine.Config{Heartbeat: 30, RaceDetect: true}},
+		{name: "fanout", cfg: machine.Config{Heartbeat: 2}, only: "fib"},
 	}
 	for _, c := range cases {
 		// Pre-compile once: the serve/run surfaces compile per program
@@ -46,6 +53,9 @@ func BenchmarkDispatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, m := range modes {
+			if m.only != "" && m.only != c.name {
+				continue
+			}
 			cfg := m.cfg
 			cfg.SkipVerify = true
 			run := func(compiled bool) (machine.Stats, error) {

@@ -1,27 +1,25 @@
-// Package compile is the closure-threaded execution backend for the
-// TPAL abstract machine: it pre-lowers each verified program's basic
-// blocks into chains of Go closures (threaded code). Registers live in
-// a flat array indexed by compile-time slot numbers instead of a map;
-// operands are resolved to constants or slot indices at compile time;
-// branch targets resolve to block pointers, so taken jumps are one
-// pointer store instead of a map lookup; and the per-instruction
-// dynamic checks of the interpreter (operand-kind checks, stack-pointer
-// checks) are elided at sites the static analyses prove can never
-// fault.
+// Package compile is the closure-threaded lowering for the TPAL
+// abstract machine: it pre-lowers each verified program's instructions
+// into specialized machine.Op closures (threaded code) for the one
+// engine in package machine. Operands are resolved to constants or
+// register slots at compile time; branch targets resolve to block
+// pointers, so taken jumps are one pointer store instead of a map
+// lookup; and the per-instruction dynamic checks of the interpreter
+// (operand-kind checks, stack-pointer checks) are elided at sites the
+// static analyses prove can never fault. The package holds no engine:
+// scheduling, budgets, fork/join, tracing, and the sanitizer are the
+// machine's.
 //
-// The interpreter in package machine remains the differential-testing
-// oracle: for every program, schedule, seed, and budget, this backend
-// must produce identical results, identical fault errors (byte for
-// byte), identical Stats (including MaxPromotionGap and TripCounts),
-// identical Trace/Tracer event streams, and identical race-sanitizer
-// verdicts. The equivalence suite and FuzzBackendEquiv in this package
-// enforce that contract; DESIGN.md §15 specifies it.
+// The interpreter lowering in package machine remains the
+// differential-testing oracle: for every program, schedule, seed, and
+// budget, this lowering must produce identical results, identical fault
+// errors (byte for byte), identical Stats (including MaxPromotionGap
+// and TripCounts), identical Trace/Tracer event streams, and identical
+// race-sanitizer verdicts. The equivalence suite and FuzzBackendEquiv
+// in this package enforce that contract; DESIGN.md §15 specifies it.
 package compile
 
 import (
-	"fmt"
-	"strings"
-
 	"tpal/internal/tpal"
 	"tpal/internal/tpal/analysis"
 	"tpal/internal/tpal/machine"
@@ -38,16 +36,13 @@ type Options struct {
 	Report *analysis.Report
 }
 
-// Program is a compiled TPAL program: every block lowered to a chain of
-// closures, ready to run any number of times under different configs.
+// Program is a compiled TPAL program: every instruction lowered to a
+// closure, ready to run any number of times under different configs.
 // A Program is immutable after Compile and safe to cache per program
 // fingerprint; each Run gets fresh task state.
 type Program struct {
-	src    *tpal.Program
-	blocks map[tpal.Label]*cblock
-	entry  *cblock
-	regIdx map[tpal.Reg]int
-	regs   []tpal.Reg // slot → register name
+	src  *tpal.Program
+	code *machine.Code
 
 	hoisted int
 	nops    int
@@ -66,154 +61,65 @@ func (p *Program) Hoisted() int { return p.hoisted }
 // terminators).
 func (p *Program) Ops() int { return p.nops }
 
-// opFn is one compiled instruction or terminator: it performs the
-// operation and advances the task's program counter (or transfers
-// control). The step prologue (budgets, heartbeat polls, counters,
-// tracing) runs in the engine, not in the closure, so scheduling stays
-// per-transition exactly as in the interpreter.
-type opFn func(x *exec, t *ctask) error
-
-type rename struct{ from, to int }
-
-// cblock is one compiled basic block.
-type cblock struct {
-	label tpal.Label
-	ann   tpal.Annotation
-	// prppt marks a promotion-ready block head: the heartbeat poll is
-	// emitted only for these blocks, hoisting the interpreter's
-	// per-step PromotionReady metafunction test to one flag check.
-	prppt   bool
-	handler *cblock // AnnPrppt handler, nil when undefined
-	jtppt   bool
-	renames []rename // AnnJtppt ΔR with compile-time slots
-	comb    *cblock  // AnnJtppt combining block, nil when undefined
-	nInstr  int
-	ops     []opFn   // len nInstr+1; the last entry is the terminator
-	strs    []string // pre-rendered instruction text for Config.Trace
-}
-
 // Compile lowers a program to threaded code. The program is validated
 // structurally; the static verifier gate runs at execution time (Run),
-// mirroring machine.New, so a Compile-d program can still be executed
-// with SkipVerify for fault-path testing.
+// as in machine.Run, so a Compile-d program can still be executed with
+// SkipVerify for fault-path testing.
 func Compile(prog *tpal.Program, opts Options) (*Program, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	c := &compiler{
-		prog:   prog,
-		report: opts.Report,
-		p: &Program{
-			src:    prog,
-			blocks: make(map[tpal.Label]*cblock, len(prog.Blocks)),
-			regIdx: make(map[tpal.Reg]int),
-		},
-	}
+	c := &compiler{prog: prog, report: opts.Report, p: &Program{src: prog}}
 	c.indexReport()
-	c.scanRegs()
-
-	// Pass 1: block shells, so branch targets can link to pointers.
-	for _, b := range prog.Blocks {
-		cb := &cblock{label: b.Label, ann: b.Ann, nInstr: len(b.Instrs)}
-		cb.prppt = b.Ann.Kind == tpal.AnnPrppt
-		cb.jtppt = b.Ann.Kind == tpal.AnnJtppt
-		c.p.blocks[b.Label] = cb
-	}
-	// Pass 2: links that need the full shell map.
-	for _, b := range prog.Blocks {
-		cb := c.p.blocks[b.Label]
-		if cb.prppt {
-			cb.handler = c.p.blocks[b.Ann.Handler]
-		}
-		if cb.jtppt {
-			cb.comb = c.p.blocks[b.Ann.Comb]
-			for _, rr := range b.Ann.DeltaR {
-				cb.renames = append(cb.renames, rename{from: c.slot(rr.From), to: c.slot(rr.To)})
-			}
-		}
-	}
-	// Pass 3: lower every instruction and terminator to a closure.
-	for _, b := range prog.Blocks {
-		cb := c.p.blocks[b.Label]
-		cb.ops = make([]opFn, len(b.Instrs)+1)
-		cb.strs = make([]string, len(b.Instrs)+1)
-		for i, in := range b.Instrs {
-			cb.ops[i] = c.lowerInstr(b, i, in)
-			cb.strs[i] = in.String()
-		}
-		cb.ops[len(b.Instrs)] = c.lowerTerm(b)
-		cb.strs[len(b.Instrs)] = b.Term.String()
-		c.p.nops += len(cb.ops)
-	}
-	c.p.entry = c.p.blocks[prog.Entry]
-	c.p.regs = c.regs
+	c.p.code = machine.Lower(prog, c.lowerOp)
 	return c.p, nil
 }
 
-// Run compiles and executes prog under cfg on the compiled backend,
-// with exactly machine.Run's contract: structural validation first,
-// then — unless cfg.SkipVerify — the static verifier gate with
-// cfg.Regs as the entry registers (same ErrVerify text as the
-// interpreter), then execution. The analysis run for the gate doubles
-// as the check-hoisting report. Registered as machine.BackendCompiled
-// via init.
-func Run(prog *tpal.Program, cfg machine.Config) (machine.Result, error) {
-	if err := prog.Validate(); err != nil {
-		return machine.Result{}, err
+// lowerOp is the machine.Lower callback: one closure per instruction,
+// the terminator at i == len(b.Instrs).
+func (c *compiler) lowerOp(code *machine.Code, b *tpal.Block, i int) machine.Op {
+	c.code = code
+	c.p.nops++
+	if i == len(b.Instrs) {
+		return c.lowerTerm(b)
 	}
-	var report *analysis.Report
-	if !cfg.SkipVerify {
-		report = analysis.Analyze(prog, analysis.Options{EntryRegs: entryRegs(cfg.Regs)})
-		if err := verifyErr(report.Diags); err != nil {
-			return machine.Result{}, err
-		}
+	return c.lowerInstr(b, i, b.Instrs[i])
+}
+
+// Run compiles and executes prog under cfg on the compiled backend,
+// with exactly machine.Run's contract: the machine.Verify gate
+// (structural validation, then — unless cfg.SkipVerify — the static
+// verifier with cfg.Regs as the entry registers), then execution. The
+// analysis run for the gate doubles as the check-hoisting report.
+// Registered as machine.BackendCompiled via init.
+func Run(prog *tpal.Program, cfg machine.Config) (machine.Result, error) {
+	report, err := machine.Verify(prog, cfg)
+	if err != nil {
+		return machine.Result{}, err
 	}
 	cp, err := Compile(prog, Options{Report: report})
 	if err != nil {
 		return machine.Result{}, err
 	}
-	return cp.exec(cfg)
+	return cp.code.Run(cfg)
 }
 
 // Run executes an already-compiled program under cfg. Unless
-// cfg.SkipVerify is set, the static verifier gate runs first against
-// the source program with cfg.Regs as entry registers, mirroring
-// machine.New. Callers that verified at admission time (the serve
-// layer) set SkipVerify and pay nothing here.
+// cfg.SkipVerify is set, the machine.Verify gate runs first against
+// the source program with cfg.Regs as entry registers. Callers that
+// verified at admission time (the serve layer) set SkipVerify and pay
+// nothing here.
 func (p *Program) Run(cfg machine.Config) (machine.Result, error) {
 	if !cfg.SkipVerify {
-		diags := analysis.VerifyWith(p.src, analysis.Options{EntryRegs: entryRegs(cfg.Regs)})
-		if err := verifyErr(diags); err != nil {
+		if _, err := machine.Verify(p.src, cfg); err != nil {
 			return machine.Result{}, err
 		}
 	}
-	return p.exec(cfg)
+	return p.code.Run(cfg)
 }
 
 func init() {
 	machine.RegisterCompiledBackend(Run)
-}
-
-func entryRegs(regs machine.RegFile) []tpal.Reg {
-	entry := make([]tpal.Reg, 0, len(regs))
-	for r := range regs {
-		entry = append(entry, r)
-	}
-	return entry
-}
-
-// verifyErr renders verifier errors with byte-identical text to
-// machine.New's rejection.
-func verifyErr(diags []analysis.Diag) error {
-	errs := analysis.Errors(diags)
-	if len(errs) == 0 {
-		return nil
-	}
-	msgs := make([]string, len(errs))
-	for i, d := range errs {
-		msgs[i] = d.String()
-	}
-	return fmt.Errorf("%w:\n  %s", machine.ErrVerify, strings.Join(msgs, "\n  "))
 }
 
 type siteKey struct {
@@ -225,7 +131,7 @@ type compiler struct {
 	prog   *tpal.Program
 	report *analysis.Report
 	p      *Program
-	regs   []tpal.Reg
+	code   *machine.Code // the lowering in progress: slots and block shells
 
 	diagged   map[siteKey]bool
 	blockDiag map[tpal.Label]bool
@@ -264,44 +170,8 @@ func (c *compiler) safeSite(b tpal.Label, i int) bool {
 	return c.report != nil && !c.blockDiag[b] && !c.diagged[siteKey{b, i}]
 }
 
-// scanRegs assigns flat slots in deterministic first-appearance order
-// over the program text: per block, annotation ΔR renames, then each
-// instruction's registers, then the terminator's.
-func (c *compiler) scanRegs() {
-	for _, b := range c.prog.Blocks {
-		for _, rr := range b.Ann.DeltaR {
-			c.slot(rr.From)
-			c.slot(rr.To)
-		}
-		for _, in := range b.Instrs {
-			c.slot(in.Dst)
-			c.slot(in.Src)
-			c.slot(in.Src2)
-			if in.Val.Kind == tpal.OperReg {
-				c.slot(in.Val.Reg)
-			}
-		}
-		if b.Term.Val.Kind == tpal.OperReg {
-			c.slot(b.Term.Val.Reg)
-		}
-	}
-}
-
-// slot returns the flat-array index for a register, assigning the next
-// one on first appearance. The empty register (unused Instr fields)
-// has no slot.
-func (c *compiler) slot(r tpal.Reg) int {
-	if r == "" {
-		return -1
-	}
-	if s, ok := c.p.regIdx[r]; ok {
-		return s
-	}
-	s := len(c.regs)
-	c.p.regIdx[r] = s
-	c.regs = append(c.regs, r)
-	return s
-}
+// slot returns the flat-array index of a register the program names.
+func (c *compiler) slot(r tpal.Reg) int { return c.code.Slot(r) }
 
 // truthy is Value.Truthy inlined for the hot path: nil and integer
 // zero are TPAL-true.
@@ -313,13 +183,13 @@ func truthy(v machine.Value) bool {
 // only faults if the instruction executes, so a bad-but-dead site must
 // compile to a closure that fails with the identical message at run
 // time, not to a compile-time error.
-func faultOp(format string, args ...any) opFn {
-	return func(x *exec, t *ctask) error {
-		return x.failf(t, format, args...)
+func faultOp(format string, args ...any) machine.Op {
+	return func(e *machine.Engine, t *machine.Task) error {
+		return e.Failf(t, format, args...)
 	}
 }
 
-func (c *compiler) lowerInstr(b *tpal.Block, i int, in tpal.Instr) opFn {
+func (c *compiler) lowerInstr(b *tpal.Block, i int, in tpal.Instr) machine.Op {
 	switch in.Kind {
 	case tpal.IMove:
 		return c.lowerMove(in)
@@ -333,10 +203,9 @@ func (c *compiler) lowerInstr(b *tpal.Block, i int, in tpal.Instr) opFn {
 		return c.lowerFork(b, i, in)
 	case tpal.ISNew:
 		dst := c.slot(in.Dst)
-		return func(x *exec, t *ctask) error {
-			t.regs[dst] = machine.PtrV(machine.NewStack().Top())
-			t.written[dst] = true
-			t.off++
+		return func(e *machine.Engine, t *machine.Task) error {
+			t.SetReg(dst, machine.PtrV(machine.NewStack().Top()))
+			t.Next()
 			return nil
 		}
 	case tpal.ISAlloc:
@@ -359,22 +228,20 @@ func (c *compiler) lowerInstr(b *tpal.Block, i int, in tpal.Instr) opFn {
 	return faultOp("unknown instruction kind %d", in.Kind)
 }
 
-func (c *compiler) lowerMove(in tpal.Instr) opFn {
+func (c *compiler) lowerMove(in tpal.Instr) machine.Op {
 	dst := c.slot(in.Dst)
 	if in.Val.Kind == tpal.OperReg {
 		src := c.slot(in.Val.Reg)
-		return func(x *exec, t *ctask) error {
-			t.regs[dst] = t.regs[src]
-			t.written[dst] = true
-			t.off++
+		return func(e *machine.Engine, t *machine.Task) error {
+			t.SetReg(dst, t.Reg(src))
+			t.Next()
 			return nil
 		}
 	}
 	v := machine.Resolve(nil, in.Val)
-	return func(x *exec, t *ctask) error {
-		t.regs[dst] = v
-		t.written[dst] = true
-		t.off++
+	return func(e *machine.Engine, t *machine.Task) error {
+		t.SetReg(dst, v)
+		t.Next()
 		return nil
 	}
 }
@@ -438,52 +305,62 @@ func intOpFor(op tpal.Op) intOp {
 	return func(x, y int64) (machine.Value, bool) { return machine.Value{}, false }
 }
 
-func (c *compiler) lowerBinOp(in tpal.Instr) opFn {
+// binopSlow is the out-of-line tail of a binop closure: everything the
+// integer fast path does not cover, with the interpreter's fault text.
+func binopSlow(e *machine.Engine, t *machine.Task, op tpal.Op, a, b machine.Value, dst int) error {
+	v, err := machine.EvalBinOp(op, a, b)
+	if err != nil {
+		return e.Failf(t, "%v", err)
+	}
+	t.SetReg(dst, v)
+	t.Next()
+	return nil
+}
+
+func (c *compiler) lowerBinOp(in tpal.Instr) machine.Op {
 	dst, src := c.slot(in.Dst), c.slot(in.Src)
 	op := in.Op
 	f := intOpFor(op)
 	if in.Val.Kind == tpal.OperReg {
 		bs := c.slot(in.Val.Reg)
-		return func(x *exec, t *ctask) error {
-			av, bv := t.regs[src], t.regs[bs]
+		return func(e *machine.Engine, t *machine.Task) error {
+			av, bv := t.Reg(src), t.Reg(bs)
 			if av.Kind <= machine.VInt && bv.Kind <= machine.VInt {
 				if v, ok := f(av.Int, bv.Int); ok {
-					t.regs[dst] = v
-					t.written[dst] = true
-					t.off++
+					t.SetReg(dst, v)
+					t.Next()
 					return nil
 				}
 			}
-			return x.binopSlow(t, op, av, bv, dst)
+			return binopSlow(e, t, op, av, bv, dst)
 		}
 	}
 	bv := machine.Resolve(nil, in.Val)
-	return func(x *exec, t *ctask) error {
-		av := t.regs[src]
+	return func(e *machine.Engine, t *machine.Task) error {
+		av := t.Reg(src)
 		if av.Kind <= machine.VInt && bv.Kind <= machine.VInt {
 			if v, ok := f(av.Int, bv.Int); ok {
-				t.regs[dst] = v
-				t.written[dst] = true
-				t.off++
+				t.SetReg(dst, v)
+				t.Next()
 				return nil
 			}
 		}
-		return x.binopSlow(t, op, av, bv, dst)
+		return binopSlow(e, t, op, av, bv, dst)
 	}
 }
 
-func (c *compiler) lowerIfJump(b *tpal.Block, i int, in tpal.Instr) opFn {
+func (c *compiler) lowerIfJump(b *tpal.Block, i int, in tpal.Instr) machine.Op {
 	cond := c.slot(in.Src)
 	if in.Val.Kind == tpal.OperLabel {
 		lbl := in.Val.Label
-		tb := c.p.blocks[lbl]
+		tb := c.code.Block(lbl)
 		if tb == nil {
 			// Faults only when taken, exactly like the interpreter.
-			return func(x *exec, t *ctask) error {
-				if truthy(t.regs[cond]) {
-					return x.failf(t, "jump to undefined label %q", lbl)
+			return func(e *machine.Engine, t *machine.Task) error {
+				if truthy(t.Reg(cond)) {
+					return e.Failf(t, "jump to undefined label %q", lbl)
 				}
-				t.off++
+				t.Next()
 				return nil
 			}
 		}
@@ -495,94 +372,88 @@ func (c *compiler) lowerIfJump(b *tpal.Block, i int, in tpal.Instr) opFn {
 				// holds 0 on every execution reaching this site:
 				// compile the branch one-sided.
 				c.p.hoisted++
-				return func(x *exec, t *ctask) error {
-					t.block = tb
-					t.off = 0
+				return func(e *machine.Engine, t *machine.Task) error {
+					t.Goto(tb)
 					return nil
 				}
 			case analysis.BranchNeverTaken:
 				c.p.hoisted++
-				return func(x *exec, t *ctask) error {
-					t.off++
+				return func(e *machine.Engine, t *machine.Task) error {
+					t.Next()
 					return nil
 				}
 			}
 		}
-		return func(x *exec, t *ctask) error {
-			if truthy(t.regs[cond]) {
-				t.block = tb
-				t.off = 0
+		return func(e *machine.Engine, t *machine.Task) error {
+			if truthy(t.Reg(cond)) {
+				t.Goto(tb)
 				return nil
 			}
-			t.off++
+			t.Next()
 			return nil
 		}
 	}
 	if in.Val.Kind == tpal.OperReg {
 		tgt := c.slot(in.Val.Reg)
-		return func(x *exec, t *ctask) error {
-			if !truthy(t.regs[cond]) {
-				t.off++
+		return func(e *machine.Engine, t *machine.Task) error {
+			if !truthy(t.Reg(cond)) {
+				t.Next()
 				return nil
 			}
-			v := t.regs[tgt]
+			v := t.Reg(tgt)
 			if v.Kind != machine.VLabel {
-				return x.failf(t, "if-jump target %s is not a label", v)
+				return e.Failf(t, "if-jump target %s is not a label", v)
 			}
-			nb := x.p.blocks[v.Label]
+			nb := c.code.Block(v.Label)
 			if nb == nil {
-				return x.failf(t, "jump to undefined label %q", v.Label)
+				return e.Failf(t, "jump to undefined label %q", v.Label)
 			}
-			t.block = nb
-			t.off = 0
+			t.Goto(nb)
 			return nil
 		}
 	}
 	// Integer operand: faults only when taken.
 	v := machine.Resolve(nil, in.Val)
-	return func(x *exec, t *ctask) error {
-		if truthy(t.regs[cond]) {
-			return x.failf(t, "if-jump target %s is not a label", v)
+	return func(e *machine.Engine, t *machine.Task) error {
+		if truthy(t.Reg(cond)) {
+			return e.Failf(t, "if-jump target %s is not a label", v)
 		}
-		t.off++
+		t.Next()
 		return nil
 	}
 }
 
-func (c *compiler) lowerJrAlloc(in tpal.Instr) opFn {
+func (c *compiler) lowerJrAlloc(in tpal.Instr) machine.Op {
 	dst, lbl := c.slot(in.Dst), in.Lbl
-	cont := c.prog.Block(lbl)
-	if cont == nil {
+	src := c.prog.Block(lbl)
+	if src == nil {
 		return faultOp("jralloc of undefined continuation %q", lbl)
 	}
-	if cont.Ann.Kind != tpal.AnnJtppt {
+	if src.Ann.Kind != tpal.AnnJtppt {
 		return faultOp("jralloc continuation %q lacks a jtppt annotation", lbl)
 	}
 	c.p.hoisted += 2 // continuation existence + jtppt discharged statically
-	return func(x *exec, t *ctask) error {
-		rec := machine.NewJoinRecord(x.nextJoin, lbl)
-		x.nextJoin++
-		x.stats.JoinRecords++
-		t.regs[dst] = machine.JoinV(rec)
-		t.written[dst] = true
-		t.off++
+	cont := c.code.Block(lbl)
+	return func(e *machine.Engine, t *machine.Task) error {
+		t.SetReg(dst, e.JrAlloc(cont))
+		t.Next()
 		return nil
 	}
 }
 
-func (c *compiler) lowerFork(b *tpal.Block, i int, in tpal.Instr) opFn {
+func (c *compiler) lowerFork(b *tpal.Block, i int, in tpal.Instr) machine.Op {
 	src, srcName := c.slot(in.Src), in.Src
 	checkJoin := !c.safeSite(b.Label, i)
 	if !checkJoin {
 		c.p.hoisted++
 	}
-	var static *cblock
+	var static *machine.Block
 	staticUndef := tpal.Label("")
 	dyn := -1
 	var valConst machine.Value
 	switch in.Val.Kind {
 	case tpal.OperLabel:
-		static = c.p.blocks[in.Val.Label]
+		static = c.code.Block(in.Val.Label)
 		if static == nil {
 			staticUndef = in.Val.Label
 		} else {
@@ -593,123 +464,114 @@ func (c *compiler) lowerFork(b *tpal.Block, i int, in tpal.Instr) opFn {
 	default:
 		valConst = machine.Resolve(nil, in.Val)
 	}
-	return func(x *exec, t *ctask) error {
-		jv := t.regs[src]
+	return func(e *machine.Engine, t *machine.Task) error {
+		jv := t.Reg(src)
 		if checkJoin && jv.Kind != machine.VJoin {
-			return x.failf(t, "fork join-record argument %s holds %s, not a join record", srcName, jv)
+			return e.Failf(t, "fork join-record argument %s holds %s, not a join record", srcName, jv)
 		}
 		tb := static
 		if tb == nil {
 			if staticUndef != "" {
-				return x.failf(t, "fork to undefined label %q", staticUndef)
+				return e.Failf(t, "fork to undefined label %q", staticUndef)
 			}
 			target := valConst
 			if dyn >= 0 {
-				target = t.regs[dyn]
+				target = t.Reg(dyn)
 			}
 			if target.Kind != machine.VLabel {
-				return x.failf(t, "fork target %s is not a label", target)
+				return e.Failf(t, "fork target %s is not a label", target)
 			}
-			tb = x.p.blocks[target.Label]
+			tb = c.code.Block(target.Label)
 			if tb == nil {
-				return x.failf(t, "fork to undefined label %q", target.Label)
+				return e.Failf(t, "fork to undefined label %q", target.Label)
 			}
 		}
-		return x.forkTo(t, jv.Join, tb)
+		return e.Fork(t, jv.Join, tb)
 	}
 }
 
 // ptrIn compiles the "register holds a stack pointer" precondition for
 // the stack instructions, eliding it at verifier-proved sites.
-func (c *compiler) lowerSAlloc(b *tpal.Block, i int, in tpal.Instr) opFn {
+func (c *compiler) lowerSAlloc(b *tpal.Block, i int, in tpal.Instr) machine.Op {
 	src, srcName := c.slot(in.Src), in.Src
 	n := int(in.Off)
 	check := !c.safeSite(b.Label, i)
 	if !check {
 		c.p.hoisted++
 	}
-	return func(x *exec, t *ctask) error {
-		v := t.regs[src]
+	return func(e *machine.Engine, t *machine.Task) error {
+		v := t.Reg(src)
 		if check && v.Kind != machine.VPtr {
-			return x.failf(t, "register %s holds %s, not a stack pointer", srcName, v)
+			return e.Failf(t, "register %s holds %s, not a stack pointer", srcName, v)
 		}
 		p := v.Ptr
 		np, err := p.Stack.Alloc(p, n)
 		if err != nil {
-			return x.failf(t, "%v", err)
+			return e.Failf(t, "%v", err)
 		}
-		if x.race != nil {
-			if err := x.race.WriteRange(x.access(t), p.Stack, p.Abs+1, np.Abs); err != nil {
-				return err
-			}
+		if err := e.RaceWriteRange(t, p.Stack, p.Abs+1, np.Abs); err != nil {
+			return err
 		}
-		t.regs[src] = machine.PtrV(np)
-		t.written[src] = true
-		t.off++
+		t.SetReg(src, machine.PtrV(np))
+		t.Next()
 		return nil
 	}
 }
 
-func (c *compiler) lowerSFree(b *tpal.Block, i int, in tpal.Instr) opFn {
+func (c *compiler) lowerSFree(b *tpal.Block, i int, in tpal.Instr) machine.Op {
 	src, srcName := c.slot(in.Src), in.Src
 	n := int(in.Off)
 	check := !c.safeSite(b.Label, i)
 	if !check {
 		c.p.hoisted++
 	}
-	return func(x *exec, t *ctask) error {
-		v := t.regs[src]
+	return func(e *machine.Engine, t *machine.Task) error {
+		v := t.Reg(src)
 		if check && v.Kind != machine.VPtr {
-			return x.failf(t, "register %s holds %s, not a stack pointer", srcName, v)
+			return e.Failf(t, "register %s holds %s, not a stack pointer", srcName, v)
 		}
 		p := v.Ptr
 		np, err := p.Stack.Free(p, n)
 		if err != nil {
-			return x.failf(t, "%v", err)
+			return e.Failf(t, "%v", err)
 		}
-		if x.race != nil {
-			if err := x.race.WriteRange(x.access(t), p.Stack, np.Abs+1, p.Abs); err != nil {
-				return err
-			}
+		if err := e.RaceWriteRange(t, p.Stack, np.Abs+1, p.Abs); err != nil {
+			return err
 		}
-		t.regs[src] = machine.PtrV(np)
-		t.written[src] = true
-		t.off++
+		t.SetReg(src, machine.PtrV(np))
+		t.Next()
 		return nil
 	}
 }
 
-func (c *compiler) lowerLoad(b *tpal.Block, i int, in tpal.Instr) opFn {
+func (c *compiler) lowerLoad(b *tpal.Block, i int, in tpal.Instr) machine.Op {
 	dst, src, srcName := c.slot(in.Dst), c.slot(in.Src), in.Src
 	off := in.Off
 	check := !c.safeSite(b.Label, i)
 	if !check {
 		c.p.hoisted++
 	}
-	return func(x *exec, t *ctask) error {
-		v := t.regs[src]
+	return func(e *machine.Engine, t *machine.Task) error {
+		v := t.Reg(src)
 		if check && v.Kind != machine.VPtr {
-			return x.failf(t, "register %s holds %s, not a stack pointer", srcName, v)
+			return e.Failf(t, "register %s holds %s, not a stack pointer", srcName, v)
 		}
 		p := v.Ptr
 		idx, ok := p.Stack.Cell(p, off)
 		if !ok {
 			_, err := p.Stack.Load(p, off)
-			return x.failf(t, "%v", err)
+			return e.Failf(t, "%v", err)
 		}
-		if x.race != nil {
-			if err := x.race.Read(x.access(t), p.Stack, idx); err != nil {
-				return err
-			}
+		if err := e.RaceRead(t, p.Stack, idx); err != nil {
+			return err
 		}
-		t.regs[dst] = p.Stack.CellValue(idx)
-		t.written[dst] = true
-		t.off++
+		t.SetReg(dst, p.Stack.CellValue(idx))
+		t.Next()
 		return nil
 	}
 }
 
-func (c *compiler) lowerStore(b *tpal.Block, i int, in tpal.Instr) opFn {
+func (c *compiler) lowerStore(b *tpal.Block, i int, in tpal.Instr) machine.Op {
 	src, srcName := c.slot(in.Src), in.Src
 	off := in.Off
 	check := !c.safeSite(b.Label, i)
@@ -723,33 +585,31 @@ func (c *compiler) lowerStore(b *tpal.Block, i int, in tpal.Instr) opFn {
 	} else {
 		valConst = machine.Resolve(nil, in.Val)
 	}
-	return func(x *exec, t *ctask) error {
-		v := t.regs[src]
+	return func(e *machine.Engine, t *machine.Task) error {
+		v := t.Reg(src)
 		if check && v.Kind != machine.VPtr {
-			return x.failf(t, "register %s holds %s, not a stack pointer", srcName, v)
+			return e.Failf(t, "register %s holds %s, not a stack pointer", srcName, v)
 		}
 		p := v.Ptr
 		idx, ok := p.Stack.Cell(p, off)
 		if !ok {
 			err := p.Stack.Store(p, off, machine.Value{})
-			return x.failf(t, "%v", err)
+			return e.Failf(t, "%v", err)
 		}
 		val := valConst
 		if valReg >= 0 {
-			val = t.regs[valReg]
+			val = t.Reg(valReg)
 		}
 		p.Stack.SetCellValue(idx, val)
-		if x.race != nil {
-			if err := x.race.Write(x.access(t), p.Stack, idx); err != nil {
-				return err
-			}
+		if err := e.RaceWrite(t, p.Stack, idx); err != nil {
+			return err
 		}
-		t.off++
+		t.Next()
 		return nil
 	}
 }
 
-func (c *compiler) lowerPrmPush(b *tpal.Block, i int, in tpal.Instr) opFn {
+func (c *compiler) lowerPrmPush(b *tpal.Block, i int, in tpal.Instr) machine.Op {
 	src, srcName := c.slot(in.Src), in.Src
 	off := in.Off
 	check := !c.safeSite(b.Label, i)
@@ -757,147 +617,135 @@ func (c *compiler) lowerPrmPush(b *tpal.Block, i int, in tpal.Instr) opFn {
 		c.p.hoisted++
 	}
 	mark := machine.MarkV()
-	return func(x *exec, t *ctask) error {
-		v := t.regs[src]
+	return func(e *machine.Engine, t *machine.Task) error {
+		v := t.Reg(src)
 		if check && v.Kind != machine.VPtr {
-			return x.failf(t, "register %s holds %s, not a stack pointer", srcName, v)
+			return e.Failf(t, "register %s holds %s, not a stack pointer", srcName, v)
 		}
 		p := v.Ptr
 		idx, ok := p.Stack.Cell(p, off)
 		if !ok {
 			err := p.Stack.PushMark(p, off)
-			return x.failf(t, "%v", err)
+			return e.Failf(t, "%v", err)
 		}
 		p.Stack.SetCellValue(idx, mark)
-		if x.race != nil {
-			if err := x.race.Write(x.access(t), p.Stack, idx); err != nil {
-				return err
-			}
+		if err := e.RaceWrite(t, p.Stack, idx); err != nil {
+			return err
 		}
-		t.off++
+		t.Next()
 		return nil
 	}
 }
 
-func (c *compiler) lowerPrmPop(b *tpal.Block, i int, in tpal.Instr) opFn {
+func (c *compiler) lowerPrmPop(b *tpal.Block, i int, in tpal.Instr) machine.Op {
 	src, srcName := c.slot(in.Src), in.Src
 	off := in.Off
 	check := !c.safeSite(b.Label, i)
 	if !check {
 		c.p.hoisted++
 	}
-	return func(x *exec, t *ctask) error {
-		v := t.regs[src]
+	return func(e *machine.Engine, t *machine.Task) error {
+		v := t.Reg(src)
 		if check && v.Kind != machine.VPtr {
-			return x.failf(t, "register %s holds %s, not a stack pointer", srcName, v)
+			return e.Failf(t, "register %s holds %s, not a stack pointer", srcName, v)
 		}
 		p := v.Ptr
 		idx, ok := p.Stack.Cell(p, off)
 		if !ok || p.Stack.CellValue(idx).Kind != machine.VMark {
 			err := p.Stack.PopMark(p, off)
-			return x.failf(t, "%v", err)
+			return e.Failf(t, "%v", err)
 		}
 		p.Stack.SetCellValue(idx, machine.IntV(0))
-		if x.race != nil {
-			if err := x.race.Write(x.access(t), p.Stack, idx); err != nil {
-				return err
-			}
+		if err := e.RaceWrite(t, p.Stack, idx); err != nil {
+			return err
 		}
-		t.off++
+		t.Next()
 		return nil
 	}
 }
 
-func (c *compiler) lowerPrmEmpty(b *tpal.Block, i int, in tpal.Instr) opFn {
+func (c *compiler) lowerPrmEmpty(b *tpal.Block, i int, in tpal.Instr) machine.Op {
 	dst, src, srcName := c.slot(in.Dst), c.slot(in.Src2), in.Src2
 	check := !c.safeSite(b.Label, i)
 	if !check {
 		c.p.hoisted++
 	}
-	return func(x *exec, t *ctask) error {
-		v := t.regs[src]
+	return func(e *machine.Engine, t *machine.Task) error {
+		v := t.Reg(src)
 		if check && v.Kind != machine.VPtr {
-			return x.failf(t, "register %s holds %s, not a stack pointer", srcName, v)
+			return e.Failf(t, "register %s holds %s, not a stack pointer", srcName, v)
 		}
 		p := v.Ptr
-		if x.race != nil {
-			if err := x.race.ReadRange(x.access(t), p.Stack, 0, p.Abs); err != nil {
-				return err
-			}
+		if err := e.RaceReadRange(t, p.Stack, 0, p.Abs); err != nil {
+			return err
 		}
 		if p.Stack.MarksEmpty(p) {
-			t.regs[dst] = machine.IntV(0)
+			t.SetReg(dst, machine.IntV(0))
 		} else {
-			t.regs[dst] = machine.IntV(1)
+			t.SetReg(dst, machine.IntV(1))
 		}
-		t.written[dst] = true
-		t.off++
+		t.Next()
 		return nil
 	}
 }
 
-func (c *compiler) lowerPrmSplit(b *tpal.Block, i int, in tpal.Instr) opFn {
+func (c *compiler) lowerPrmSplit(b *tpal.Block, i int, in tpal.Instr) machine.Op {
 	src, srcName := c.slot(in.Src), in.Src
 	dst := c.slot(in.Src2)
 	check := !c.safeSite(b.Label, i)
 	if !check {
 		c.p.hoisted++
 	}
-	return func(x *exec, t *ctask) error {
-		v := t.regs[src]
+	return func(e *machine.Engine, t *machine.Task) error {
+		v := t.Reg(src)
 		if check && v.Kind != machine.VPtr {
-			return x.failf(t, "register %s holds %s, not a stack pointer", srcName, v)
+			return e.Failf(t, "register %s holds %s, not a stack pointer", srcName, v)
 		}
 		p := v.Ptr
 		off, err := p.Stack.SplitOldestMark(p)
 		if err != nil {
-			return x.failf(t, "%v", err)
+			return e.Failf(t, "%v", err)
 		}
-		if x.race != nil {
-			if err := x.race.ReadRange(x.access(t), p.Stack, 0, p.Abs); err != nil {
-				return err
-			}
-			if err := x.race.Write(x.access(t), p.Stack, p.Abs-int(off)); err != nil {
-				return err
-			}
+		if err := e.RaceReadRange(t, p.Stack, 0, p.Abs); err != nil {
+			return err
 		}
-		t.regs[dst] = machine.IntV(off)
-		t.written[dst] = true
-		t.off++
+		if err := e.RaceWrite(t, p.Stack, p.Abs-int(off)); err != nil {
+			return err
+		}
+		t.SetReg(dst, machine.IntV(off))
+		t.Next()
 		return nil
 	}
 }
 
-func (c *compiler) lowerTerm(b *tpal.Block) opFn {
+func (c *compiler) lowerTerm(b *tpal.Block) machine.Op {
 	term := b.Term
 	switch term.Kind {
 	case tpal.TJump:
 		if term.Val.Kind == tpal.OperLabel {
 			lbl := term.Val.Label
-			tb := c.p.blocks[lbl]
+			tb := c.code.Block(lbl)
 			if tb == nil {
 				return faultOp("jump to undefined label %q", lbl)
 			}
 			c.p.hoisted++
-			return func(x *exec, t *ctask) error {
-				t.block = tb
-				t.off = 0
+			return func(e *machine.Engine, t *machine.Task) error {
+				t.Goto(tb)
 				return nil
 			}
 		}
 		if term.Val.Kind == tpal.OperReg {
 			tgt := c.slot(term.Val.Reg)
-			return func(x *exec, t *ctask) error {
-				v := t.regs[tgt]
+			return func(e *machine.Engine, t *machine.Task) error {
+				v := t.Reg(tgt)
 				if v.Kind != machine.VLabel {
-					return x.failf(t, "jump target %s is not a label", v)
+					return e.Failf(t, "jump target %s is not a label", v)
 				}
-				nb := x.p.blocks[v.Label]
+				nb := c.code.Block(v.Label)
 				if nb == nil {
-					return x.failf(t, "jump to undefined label %q", v.Label)
+					return e.Failf(t, "jump to undefined label %q", v.Label)
 				}
-				t.block = nb
-				t.off = 0
+				t.Goto(nb)
 				return nil
 			}
 		}
@@ -905,14 +753,7 @@ func (c *compiler) lowerTerm(b *tpal.Block) opFn {
 		return faultOp("jump target %s is not a label", v)
 
 	case tpal.THalt:
-		return func(x *exec, t *ctask) error {
-			x.halted = true
-			x.final = t
-			x.noteGap(t)
-			x.traceTask(t, machine.TraceTaskEnd)
-			x.stats.Span = t.span
-			return nil
-		}
+		return (*machine.Engine).Halt
 
 	case tpal.TJoin:
 		checkKind := !c.safeSite(b.Label, len(b.Instrs))
@@ -921,12 +762,12 @@ func (c *compiler) lowerTerm(b *tpal.Block) opFn {
 		}
 		if term.Val.Kind == tpal.OperReg {
 			src := c.slot(term.Val.Reg)
-			return func(x *exec, t *ctask) error {
-				jv := t.regs[src]
+			return func(e *machine.Engine, t *machine.Task) error {
+				jv := t.Reg(src)
 				if checkKind && jv.Kind != machine.VJoin {
-					return x.failf(t, "join argument %s is not a join record", jv)
+					return e.Failf(t, "join argument %s is not a join record", jv)
 				}
-				return x.join(t, jv.Join)
+				return e.Join(t, jv.Join)
 			}
 		}
 		v := machine.Resolve(nil, term.Val)

@@ -111,19 +111,18 @@ func assertEquiv(t *testing.T, label string, p *tpal.Program, cfg machine.Config
 	}
 }
 
-// corpusCases is the corpus every equivalence test runs: the paper's
-// three programs at the canonical tpal-trace arguments plus edge
-// argument vectors.
-func corpusCases() []struct {
+// progCase is one program plus its entry registers.
+type progCase struct {
 	name string
 	prog *tpal.Program
 	regs machine.RegFile
-} {
-	return []struct {
-		name string
-		prog *tpal.Program
-		regs machine.RegFile
-	}{
+}
+
+// corpusCases is the corpus every equivalence test runs: the paper's
+// three programs at the canonical tpal-trace arguments plus edge
+// argument vectors.
+func corpusCases() []progCase {
+	return []progCase{
 		{"prod-9x4", programs.Prod(), machine.RegFile{"a": machine.IntV(9), "b": machine.IntV(4)}},
 		{"prod-0x5", programs.Prod(), machine.RegFile{"a": machine.IntV(0), "b": machine.IntV(5)}},
 		{"pow-2^6", programs.Pow(), machine.RegFile{"d": machine.IntV(2), "e": machine.IntV(6)}},
@@ -143,9 +142,10 @@ func TestCorpusEquiv(t *testing.T) {
 	}
 }
 
-// TestMiniparEquiv runs every compiled minipar sample across the
-// matrix on both backends.
-func TestMiniparEquiv(t *testing.T) {
+// miniparCases compiles every checked-in minipar sample at its
+// canonical argument vector.
+func miniparCases(t *testing.T) []progCase {
+	t.Helper()
 	files, err := filepath.Glob(filepath.Join("..", "..", "..", "minipar", "testdata", "*.mp"))
 	if err != nil {
 		t.Fatal(err)
@@ -160,6 +160,7 @@ func TestMiniparEquiv(t *testing.T) {
 		"sumsquares.mp":  {25},
 		"triple-nest.mp": {3},
 	}
+	var out []progCase
 	for _, file := range files {
 		name := filepath.Base(file)
 		src, err := os.ReadFile(file)
@@ -183,11 +184,20 @@ func TestMiniparEquiv(t *testing.T) {
 		for i, p := range mp.Params {
 			regs[tpal.Reg(p)] = machine.IntV(argv[i])
 		}
+		out = append(out, progCase{name, asmProg, regs})
+	}
+	return out
+}
+
+// TestMiniparEquiv runs every compiled minipar sample across the
+// matrix on both backends.
+func TestMiniparEquiv(t *testing.T) {
+	for _, c := range miniparCases(t) {
 		for i, cfg := range scheduleMatrix() {
 			cfg.RaceDetect = true
 			cfg.CountTrips = true
-			cfg.Regs = regs
-			assertEquiv(t, fmt.Sprintf("%s/schedule-%d", name, i), asmProg, cfg)
+			cfg.Regs = c.regs
+			assertEquiv(t, fmt.Sprintf("%s/schedule-%d", c.name, i), c.prog, cfg)
 		}
 	}
 }
@@ -311,25 +321,37 @@ func TestFaultEquiv(t *testing.T) {
 	}
 }
 
+// cfgCase is one named machine configuration.
+type cfgCase struct {
+	name string
+	cfg  machine.Config
+}
+
+// budgetCases are the fuel, step-bound, and cancellation cuts on fib:
+// each must stop both backends on the same step with the same error.
+func budgetCases() []cfgCase {
+	regs := machine.RegFile{"n": machine.IntV(12)}
+	var out []cfgCase
+	for _, fuel := range []int64{1, 7, 100, 1000} {
+		out = append(out, cfgCase{fmt.Sprintf("fuel-%d", fuel),
+			machine.Config{Heartbeat: 8, Fuel: fuel, Regs: regs, CountTrips: true}})
+	}
+	for _, steps := range []int64{1, 50, 500} {
+		out = append(out, cfgCase{fmt.Sprintf("maxsteps-%d", steps),
+			machine.Config{Heartbeat: 8, MaxSteps: steps, Regs: regs}})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return append(out, cfgCase{"context-cancelled", machine.Config{Heartbeat: 8, Context: ctx, Regs: regs}})
+}
+
 // TestBudgetEquiv pins fuel and context exhaustion: both backends must
 // stop on the same step with the same error class and text.
 func TestBudgetEquiv(t *testing.T) {
 	fib := programs.Fib()
-	regs := machine.RegFile{"n": machine.IntV(12)}
-
-	for _, fuel := range []int64{1, 7, 100, 1000} {
-		cfg := machine.Config{Heartbeat: 8, Fuel: fuel, Regs: regs, CountTrips: true}
-		assertEquiv(t, fmt.Sprintf("fuel-%d", fuel), fib, cfg)
+	for _, c := range budgetCases() {
+		assertEquiv(t, c.name, fib, c.cfg)
 	}
-	for _, steps := range []int64{1, 50, 500} {
-		cfg := machine.Config{Heartbeat: 8, MaxSteps: steps, Regs: regs}
-		assertEquiv(t, fmt.Sprintf("maxsteps-%d", steps), fib, cfg)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfg := machine.Config{Heartbeat: 8, Context: ctx, Regs: regs}
-	assertEquiv(t, "context-cancelled", fib, cfg)
 }
 
 // TestVerifyGateEquiv requires the compiled backend to reject
@@ -438,8 +460,11 @@ func TestReusedProgramIsolation(t *testing.T) {
 // program text never names must survive to the final register file on
 // both backends.
 func TestExtraEntryRegs(t *testing.T) {
-	p := programs.Prod()
-	cfg := machine.Config{
+	assertEquiv(t, "extra-entry-reg", programs.Prod(), extraEntryRegsConfig())
+}
+
+func extraEntryRegsConfig() machine.Config {
+	return machine.Config{
 		Heartbeat:  8,
 		CountTrips: true,
 		Regs: machine.RegFile{
@@ -447,7 +472,6 @@ func TestExtraEntryRegs(t *testing.T) {
 			"unused_entry": machine.IntV(99),
 		},
 	}
-	assertEquiv(t, "extra-entry-reg", p, cfg)
 }
 
 // FuzzBackendEquiv fuzzes the oracle contract over mutated corpus

@@ -15,8 +15,8 @@ parfor i in 0 .. n reduce(total, +) {
 return total
 `
 
-// BenchmarkPlusReduceKernel mirrors the bench-rt machine-backend row
-// so the dispatch hot path can be profiled in isolation.
+// BenchmarkPlusReduceKernel is the bench-rt machine-backend row on its
+// own, so the dispatch hot path can be profiled in isolation.
 func BenchmarkPlusReduceKernel(b *testing.B) {
 	mp, err := minipar.Parse(plusReduceProbeMP)
 	if err != nil {

@@ -1,12 +1,10 @@
 package machine
 
-import "tpal/internal/tpal"
-
 // JoinRecord is the synchronization object allocated by jralloc. A record
-// carries the label of the continuation block to run once every task
-// registered on the record has joined. One record can synchronize an
-// arbitrary number of forks (for example, every promotion of a parallel
-// loop shares the record allocated at the loop's first promotion).
+// carries the continuation block to run once every task registered on
+// the record has joined. One record can synchronize an arbitrary number
+// of forks (for example, every promotion of a parallel loop shares the
+// record allocated at the loop's first promotion).
 //
 // The TPAL runtime "keeps a record of the tree induced by the fork
 // instructions" (§2.2); that tree is represented here by joinEdge values.
@@ -16,17 +14,9 @@ import "tpal/internal/tpal"
 // files per the ΔR of the continuation block's jtppt annotation and runs
 // the combining block one level up the tree.
 type JoinRecord struct {
-	id    int
-	Cont  tpal.Label
-	edges int // outstanding (unresolved) edges, for accounting/tests
+	id   int // allocation sequence number
+	cont *Block
 }
-
-// ID returns the record's allocation sequence number.
-func (j *JoinRecord) ID() int { return j.id }
-
-// PendingEdges returns the number of unresolved fork edges registered on
-// the record.
-func (j *JoinRecord) PendingEdges() int { return j.edges }
 
 // joinEdge is one parent↔child dependency edge in a record's fork tree.
 type joinEdge struct {
@@ -42,14 +32,13 @@ type joinEdge struct {
 	// node is the edge's position in the race sanitizer's fork tree —
 	// the parallel composition the sanitizer names when the edge's two
 	// sides conflict. Built only under Config.RaceDetect.
-	node *ForkNode
+	node *forkNode
 
-	arrived     bool
-	stashedRegs RegFile
-	stashedSide side
-	stashedSpan int64
-	// stashedClock is the first arriver's vector clock (RaceDetect only).
-	stashedClock Clock
+	// stashed is the first of the pair to join: retired from the
+	// schedule, its register file, side, span, and vector clock frozen
+	// for the second arriver to merge.
+	arrived bool
+	stashed *Task
 }
 
 // side is a task's role on a join edge.

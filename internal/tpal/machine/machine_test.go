@@ -286,7 +286,7 @@ block m [.] {
 	}
 
 	// With verification on (the default), the statically detectable
-	// faults never reach execution: New rejects them with ErrVerify.
+	// faults never reach execution: Run rejects them with ErrVerify.
 	for _, tc := range cases {
 		if tc.name == "div-zero" {
 			// z / z divides by a register, which the verifier does not
@@ -297,8 +297,8 @@ block m [.] {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := New(p, Config{}); !errors.Is(err, ErrVerify) {
-			t.Errorf("%s: New with verification = %v, want ErrVerify", tc.name, err)
+		if _, err := Run(p, Config{}); !errors.Is(err, ErrVerify) {
+			t.Errorf("%s: Run with verification = %v, want ErrVerify", tc.name, err)
 		}
 	}
 }

@@ -33,12 +33,6 @@ import (
 // retiring them) count as writes to the affected range; mark-list
 // scans (prmempty, prmsplit) count as reads of the live region they
 // walk, and prmsplit additionally as a write to the mark it consumes.
-//
-// The sanitizer core is task-representation-agnostic: both the
-// interpreter (which keys accesses off *Task) and the compiled backend
-// (machine/compile, with its own flat-register task type) feed it the
-// same Access records through the exported Sanitizer facade, so the
-// two backends produce byte-identical RaceErrors by construction.
 
 // ErrRace is the class of determinacy-race errors; RaceError unwraps
 // to it.
@@ -82,83 +76,52 @@ func (e *RaceError) Error() string {
 
 func (e *RaceError) Unwrap() error { return ErrRace }
 
-// Clock is a vector clock keyed by task id. Both execution backends
-// maintain one per task under Config.RaceDetect.
-type Clock map[int]int64
+// vclock is a vector clock keyed by task id, one per task under
+// Config.RaceDetect. The root task starts from one fresh entry for
+// itself.
+type vclock map[int]int64
 
-// Clone copies the clock.
-func (c Clock) Clone() Clock {
-	n := make(Clock, len(c)+1)
+// fork implements the sanitizer's fork rule: the child starts from a
+// copy of the parent's knowledge plus its own fresh entry, and the
+// parent advances its own entry, making the two branches mutually
+// concurrent while everything pre-fork happens-before both. It returns
+// the child's clock and advances the parent's in place.
+func (c vclock) fork(parentID, childID int) vclock {
+	child := make(vclock, len(c)+1)
 	for k, v := range c {
-		n[k] = v
+		child[k] = v
 	}
-	return n
+	child[childID] = 1
+	c[parentID]++
+	return child
 }
 
-// merge folds other into c pointwise.
-func (c Clock) merge(other Clock) {
-	for k, v := range other {
+// join implements the sanitizer's join rule: the surviving task
+// happens-after both branches, so it absorbs the stashed branch clock
+// pointwise and ticks its own entry.
+func (c vclock) join(id int, stashed vclock) {
+	for k, v := range stashed {
 		if v > c[k] {
 			c[k] = v
 		}
 	}
-}
-
-// NewClock returns a root task's clock: one fresh entry for the task
-// itself.
-func NewClock(id int) Clock { return Clock{id: 1} }
-
-// ForkClock implements the sanitizer's fork rule: the child starts
-// from a copy of the parent's knowledge plus its own fresh entry, and
-// the parent advances its own entry, making the two branches mutually
-// concurrent while everything pre-fork happens-before both. It
-// returns the child's clock and advances parent in place.
-func ForkClock(parent Clock, parentID, childID int) Clock {
-	child := parent.Clone()
-	child[childID] = 1
-	parent[parentID]++
-	return child
-}
-
-// JoinClock implements the sanitizer's join rule: the surviving task
-// happens-after both branches, so it absorbs the stashed branch clock
-// and ticks its own entry.
-func JoinClock(c Clock, id int, stashed Clock) {
-	c.merge(stashed)
 	c[id]++
 }
 
-// ForkNode is one node of the dynamic fork tree, shared by both
-// backends: each fork links a fresh node above the forking task's
-// current node, and every sanitized access records the node (plus the
-// accessing task's side on it) so a conflicting pair can name the
-// fork whose branches contain the accesses.
-type ForkNode struct {
-	// Up is the node the forking task was participating in when it
-	// issued the fork, and UpSide that task's role in it.
-	Up     *ForkNode
-	UpSide uint8
-	// Block and Instr locate the fork instruction that created the
+// forkNode is one node of the dynamic fork tree: each fork links a
+// fresh node above the forking task's current node, and every sanitized
+// access records the node (plus the accessing task's side on it) so a
+// conflicting pair can name the fork whose branches contain the
+// accesses.
+type forkNode struct {
+	// up is the node the forking task was participating in when it
+	// issued the fork, and upSide that task's role in it.
+	up     *forkNode
+	upSide side
+	// block and instr locate the fork instruction that created the
 	// node.
-	Block tpal.Label
-	Instr int
-}
-
-// Sides of a fork node, used by Access.Side.
-const (
-	SideParent uint8 = iota
-	SideChild
-)
-
-// Access describes one sanitized stack access: who (task id + clock),
-// where in the program, and where in the fork tree.
-type Access struct {
-	Task  int
-	Clock Clock
-	Block tpal.Label
-	Instr int
-	Fork  *ForkNode
-	Side  uint8
+	block tpal.Label
+	instr int
 }
 
 // accessRec is one recorded access: the epoch (task, its clock entry at
@@ -170,8 +133,8 @@ type accessRec struct {
 	block tpal.Label
 	instr int
 	write bool
-	fork  *ForkNode
-	side  uint8
+	fork  *forkNode
+	side  side
 }
 
 func (r accessRec) pos() AccessPos {
@@ -180,7 +143,7 @@ func (r accessRec) pos() AccessPos {
 
 // happensBefore reports whether the recorded access happens-before the
 // point described by the clock.
-func (r accessRec) happensBefore(c Clock) bool {
+func (r accessRec) happensBefore(c vclock) bool {
 	return c[r.task] >= r.time
 }
 
@@ -214,17 +177,8 @@ type shadow struct {
 // never collide even when one Stack is observed by several machines.
 var stackSID atomic.Int64
 
-// Sanitizer is the exported facade over the sanitizer state. The
-// interpreter holds one under Config.RaceDetect; the compiled backend
-// creates its own, so one run's shadow memory never leaks into
-// another's.
-type Sanitizer struct {
-	rs *raceState
-}
-
-// NewSanitizer returns an empty sanitizer.
-func NewSanitizer() *Sanitizer {
-	return &Sanitizer{rs: &raceState{shadows: make(map[int64]*shadow)}}
+func newRaceState() *raceState {
+	return &raceState{shadows: make(map[int64]*shadow)}
 }
 
 // retire runs on the GC's finalizer goroutine when a shadowed stack
@@ -267,17 +221,21 @@ func (rs *raceState) cell(s *Stack, abs int) *shadowCell {
 	return &sh.cells[abs]
 }
 
-// rec builds the access record for an access.
-func (a Access) rec(write bool) accessRec {
-	return accessRec{
-		task:  a.Task,
-		time:  a.Clock[a.Task],
-		block: a.Block,
-		instr: a.Instr,
+// accessRec builds the record of an access by t at its current
+// position.
+func (t *Task) accessRec(write bool) accessRec {
+	r := accessRec{
+		task:  t.id,
+		time:  t.clock[t.id],
+		block: t.block.label,
+		instr: t.off,
 		write: write,
-		fork:  a.Fork,
-		side:  a.Side,
+		side:  t.side,
 	}
+	if t.edge != nil {
+		r.fork = t.edge.node
+	}
+	return r
 }
 
 // raceErr assembles the RaceError for a conflicting pair.
@@ -295,14 +253,14 @@ func raceErr(prev accessRec, cur accessRec) error {
 // it, the fork that created that node is the parallel composition that
 // made them logically parallel.
 func separatingFork(a, b accessRec) (AccessPos, bool) {
-	sides := make(map[*ForkNode]uint8)
-	for n, s := a.fork, a.side; n != nil; s, n = n.UpSide, n.Up {
+	sides := make(map[*forkNode]side)
+	for n, s := a.fork, a.side; n != nil; s, n = n.upSide, n.up {
 		sides[n] = s
 	}
-	for n, s := b.fork, b.side; n != nil; s, n = n.UpSide, n.Up {
+	for n, s := b.fork, b.side; n != nil; s, n = n.upSide, n.up {
 		if sa, ok := sides[n]; ok {
 			if sa != s {
-				return AccessPos{Block: n.Block, Instr: n.Instr}, true
+				return AccessPos{Block: n.block, Instr: n.instr}, true
 			}
 			return AccessPos{}, false
 		}
@@ -310,22 +268,22 @@ func separatingFork(a, b accessRec) (AccessPos, bool) {
 	return AccessPos{}, false
 }
 
-// Read records a read of mem[cell abs] of stack s, reporting a race
-// against any concurrent write.
-func (z *Sanitizer) Read(a Access, s *Stack, abs int) error {
+// read records a read by t of mem[cell abs] of stack s, reporting a
+// race against any concurrent write.
+func (rs *raceState) read(t *Task, s *Stack, abs int) error {
 	if abs < 0 {
 		return nil
 	}
-	c := z.rs.cell(s, abs)
-	cur := a.rec(false)
-	if c.hasWrite && !c.write.happensBefore(a.Clock) {
+	c := rs.cell(s, abs)
+	cur := t.accessRec(false)
+	if c.hasWrite && !c.write.happensBefore(t.clock) {
 		return raceErr(c.write, cur)
 	}
 	// Keep the read set small: drop reads that happen-before this one
 	// (they are covered by it for every future write check).
 	kept := c.reads[:0]
 	for _, r := range c.reads {
-		if !r.happensBefore(a.Clock) {
+		if !r.happensBefore(t.clock) {
 			kept = append(kept, r)
 		}
 	}
@@ -333,19 +291,19 @@ func (z *Sanitizer) Read(a Access, s *Stack, abs int) error {
 	return nil
 }
 
-// Write records a write of mem[cell abs] of stack s, reporting a race
-// against any concurrent read or write.
-func (z *Sanitizer) Write(a Access, s *Stack, abs int) error {
+// write records a write by t of mem[cell abs] of stack s, reporting a
+// race against any concurrent read or write.
+func (rs *raceState) write(t *Task, s *Stack, abs int) error {
 	if abs < 0 {
 		return nil
 	}
-	c := z.rs.cell(s, abs)
-	cur := a.rec(true)
-	if c.hasWrite && !c.write.happensBefore(a.Clock) {
+	c := rs.cell(s, abs)
+	cur := t.accessRec(true)
+	if c.hasWrite && !c.write.happensBefore(t.clock) {
 		return raceErr(c.write, cur)
 	}
 	for _, r := range c.reads {
-		if !r.happensBefore(a.Clock) {
+		if !r.happensBefore(t.clock) {
 			return raceErr(r, cur)
 		}
 	}
@@ -355,76 +313,47 @@ func (z *Sanitizer) Write(a Access, s *Stack, abs int) error {
 	return nil
 }
 
-// WriteRange records writes to every cell in [lo, hi].
-func (z *Sanitizer) WriteRange(a Access, s *Stack, lo, hi int) error {
-	if lo < 0 {
-		lo = 0
+// The Race* methods are the sanitizer hooks an Op calls around its
+// stack access; each is a no-op unless Config.RaceDetect is set.
+
+// RaceRead records a read by t of mem[cell abs] of stack s.
+func (e *Engine) RaceRead(t *Task, s *Stack, abs int) error {
+	if e.race == nil {
+		return nil
 	}
-	for i := lo; i <= hi; i++ {
-		if err := z.Write(a, s, i); err != nil {
+	return e.race.read(t, s, abs)
+}
+
+// RaceWrite records a write by t of mem[cell abs] of stack s.
+func (e *Engine) RaceWrite(t *Task, s *Stack, abs int) error {
+	if e.race == nil {
+		return nil
+	}
+	return e.race.write(t, s, abs)
+}
+
+// RaceReadRange records reads by t of every cell in [lo, hi] of s.
+func (e *Engine) RaceReadRange(t *Task, s *Stack, lo, hi int) error {
+	if e.race == nil {
+		return nil
+	}
+	for i := max(lo, 0); i <= hi; i++ {
+		if err := e.race.read(t, s, i); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ReadRange records reads of every cell in [lo, hi].
-func (z *Sanitizer) ReadRange(a Access, s *Stack, lo, hi int) error {
-	if lo < 0 {
-		lo = 0
+// RaceWriteRange records writes by t to every cell in [lo, hi] of s.
+func (e *Engine) RaceWriteRange(t *Task, s *Stack, lo, hi int) error {
+	if e.race == nil {
+		return nil
 	}
-	for i := lo; i <= hi; i++ {
-		if err := z.Read(a, s, i); err != nil {
+	for i := max(lo, 0); i <= hi; i++ {
+		if err := e.race.write(t, s, i); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// access builds the interpreter task's Access for its current
-// position.
-func (m *Machine) access(t *Task) Access {
-	var fork *ForkNode
-	if t.edge != nil {
-		fork = t.edge.node
-	}
-	return Access{
-		Task:  t.id,
-		Clock: t.clock,
-		Block: t.label,
-		Instr: t.off,
-		Fork:  fork,
-		Side:  uint8(t.side),
-	}
-}
-
-// raceRead records a read of mem[cell abs] of stack s by t.
-func (m *Machine) raceRead(t *Task, s *Stack, abs int) error {
-	return m.race.Read(m.access(t), s, abs)
-}
-
-// raceWrite records a write of mem[cell abs] of stack s by t.
-func (m *Machine) raceWrite(t *Task, s *Stack, abs int) error {
-	return m.race.Write(m.access(t), s, abs)
-}
-
-// raceWriteRange records writes to every cell in [lo, hi].
-func (m *Machine) raceWriteRange(t *Task, s *Stack, lo, hi int) error {
-	return m.race.WriteRange(m.access(t), s, lo, hi)
-}
-
-// raceReadRange records reads of every cell in [lo, hi].
-func (m *Machine) raceReadRange(t *Task, s *Stack, lo, hi int) error {
-	return m.race.ReadRange(m.access(t), s, lo, hi)
-}
-
-// raceFork updates the clocks at a fork.
-func (m *Machine) raceFork(parent, child *Task) {
-	child.clock = ForkClock(parent.clock, parent.id, child.id)
-}
-
-// raceJoinMerge updates the surviving task's clock when a join edge
-// resolves: the combining task happens-after both branches.
-func (m *Machine) raceJoinMerge(t *Task, stashed Clock) {
-	JoinClock(t.clock, t.id, stashed)
 }

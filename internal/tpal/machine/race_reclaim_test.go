@@ -12,7 +12,7 @@ import (
 // its entry, so long runs that churn stacks keep shadow memory bounded
 // by the live set.
 func TestShadowReclaim(t *testing.T) {
-	rs := NewSanitizer().rs
+	rs := newRaceState()
 	for i := 0; i < 8; i++ {
 		rs.cell(NewStack(), 3)
 	}

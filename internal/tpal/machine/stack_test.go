@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"tpal/internal/tpal"
+	"tpal/internal/tpal/asm"
 )
 
 func TestStackAllocStore(t *testing.T) {
@@ -219,10 +219,44 @@ func TestValueEqual(t *testing.T) {
 	}
 }
 
+// TestMergeR pins the MergeR metafunction of Figure 27 as the join
+// implements it: the merged file is the parent's with the ΔR-selected
+// child registers copied in under their renamed targets.
 func TestMergeR(t *testing.T) {
-	parent := RegFile{"a": IntV(1), "r": IntV(10), "ret": LabelV("done")}
-	child := RegFile{"a": IntV(2), "r": IntV(20)}
-	merged := MergeR(parent, child, []tpal.RegRename{{From: "r", To: "r2"}})
+	run := func(deltaR string) RegFile {
+		t.Helper()
+		p, err := asm.Parse(`
+program merge entry start
+block start [.] {
+  a := 1
+  r := 10
+  ret := cont
+  jr := jralloc cont
+  fork jr, child
+  join jr
+}
+block child [.] {
+  a := 2
+  r := 20
+  join jr
+}
+block cont [jtppt assoc-comm; {` + deltaR + `}; comb] {
+  halt
+}
+block comb [.] {
+  join jr
+}
+`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(p, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Regs
+	}
+	merged := run("r -> r2")
 	if v := merged.Get("a"); v.Int != 1 {
 		t.Errorf("parent register a overwritten: %v", v)
 	}
@@ -232,12 +266,11 @@ func TestMergeR(t *testing.T) {
 	if v := merged.Get("r2"); v.Int != 20 {
 		t.Errorf("child register not copied under rename: %v", v)
 	}
-	if v := merged.Get("ret"); v.Label != "done" {
+	if v := merged.Get("ret"); v.Label != "cont" {
 		t.Errorf("unrelated parent register lost: %v", v)
 	}
 	// ΔR targets take the child value even when the parent defines them.
-	merged2 := MergeR(parent, child, []tpal.RegRename{{From: "r", To: "r"}})
-	if v := merged2.Get("r"); v.Int != 20 {
+	if v := run("r -> r").Get("r"); v.Int != 20 {
 		t.Errorf("ΔR target should take child value: %v", v)
 	}
 }

@@ -56,43 +56,41 @@ func WriteTrace(w io.Writer) func(TraceEvent) {
 }
 
 // traceStep emits the instruction-level event for the transition t is
-// about to take.
-func (m *Machine) traceStep(t *Task) {
-	if m.cfg.Trace == nil {
-		return
-	}
-	e := TraceEvent{Task: t.id, Cycles: t.cycles, Label: t.label, Offset: t.off}
-	if t.off < len(t.block.Instrs) {
-		e.Kind = TraceInstr
-		e.Instr = t.block.Instrs[t.off].String()
+// about to take. Instruction text is rendered here, on traced runs only,
+// never at lowering time.
+func (e *Engine) traceStep(t *Task) {
+	ev := TraceEvent{Task: t.id, Cycles: t.cycles, Label: t.block.label, Offset: t.off}
+	if b := t.block.src; t.off < len(b.Instrs) {
+		ev.Kind = TraceInstr
+		ev.Instr = b.Instrs[t.off].String()
 	} else {
-		e.Kind = TraceTerm
-		e.Instr = t.block.Term.String()
+		ev.Kind = TraceTerm
+		ev.Instr = b.Term.String()
 	}
-	m.cfg.Trace(e)
+	e.cfg.Trace(ev)
 }
 
-func (m *Machine) tracePromotion(t *Task) {
+func (e *Engine) tracePromotion(t *Task) {
 	// The runtime tracer and the per-instruction Trace hook are
 	// independent: either may be set without the other.
-	m.cfg.Tracer.Record(0, trace.EvPromotion, int64(t.id), t.cycles)
-	if m.cfg.Trace == nil {
+	e.cfg.Tracer.Record(0, trace.EvPromotion, int64(t.id), t.cycles)
+	if e.cfg.Trace == nil {
 		return
 	}
-	m.cfg.Trace(TraceEvent{
-		Task: t.id, Cycles: t.cycles, Label: t.label, Offset: t.off,
-		Kind: TracePromotion, Handler: t.block.Ann.Handler,
+	e.cfg.Trace(TraceEvent{
+		Task: t.id, Cycles: t.cycles, Label: t.block.label, Offset: t.off,
+		Kind: TracePromotion, Handler: t.block.src.Ann.Handler,
 	})
 }
 
-func (m *Machine) traceTask(t *Task, kind TraceKind) {
+func (e *Engine) traceTask(t *Task, kind TraceKind) {
 	if kind == TraceTaskStart {
-		m.cfg.Tracer.Record(0, trace.EvTaskStart, int64(t.id), 0)
+		e.cfg.Tracer.Record(0, trace.EvTaskStart, int64(t.id), 0)
 	} else if kind == TraceTaskEnd {
-		m.cfg.Tracer.Record(0, trace.EvTaskEnd, int64(t.id), 0)
+		e.cfg.Tracer.Record(0, trace.EvTaskEnd, int64(t.id), 0)
 	}
-	if m.cfg.Trace == nil {
+	if e.cfg.Trace == nil {
 		return
 	}
-	m.cfg.Trace(TraceEvent{Task: t.id, Label: t.label, Kind: kind})
+	e.cfg.Trace(TraceEvent{Task: t.id, Label: t.block.label, Kind: kind})
 }

@@ -16,7 +16,7 @@ type ValueKind uint8
 
 // Machine value kinds. VNil is the zero value (reads of uninitialized
 // registers or stack cells observe it and it behaves as integer 0 where
-// an integer is expected, which mirrors the zero-initialized cells of the
+// an integer is expected, matching the zero-initialized cells of the
 // formal salloc rule).
 const (
 	VNil ValueKind = iota
@@ -139,20 +139,6 @@ func (r RegFile) Get(reg tpal.Reg) Value { return r[reg] }
 
 // Set writes a register.
 func (r RegFile) Set(reg tpal.Reg, v Value) { r[reg] = v }
-
-// MergeR implements the MergeR metafunction of Figure 27: the merged
-// register file is the parent's file with the ΔR-selected child registers
-// copied in under their renamed targets.
-func MergeR(parent, child RegFile, deltaR []tpal.RegRename) RegFile {
-	out := parent.Clone()
-	// Registers named as ΔR targets take the child's value even when the
-	// parent also defines them: { r ↦ v ∈ R1 | r ∉ dom(ΔR targets) } ∪
-	// { rt ↦ v | rs ↦ v ∈ R2, rs ↦ rt ∈ ΔR }.
-	for _, rr := range deltaR {
-		out[rr.To] = child.Get(rr.From)
-	}
-	return out
-}
 
 // Resolve evaluates an operand against a register file (the R̂ and Ĥ
 // metafunctions of Figure 27 fold together here: labels resolve to label
