@@ -21,12 +21,12 @@ race-test:
 	$(GO) test -race ./internal/sched ./internal/heartbeat ./internal/cilk
 
 # serve-test runs the job-execution service and daemon suites under
-# the race detector: admission gating, sharded DRR dispatch with work
-# stealing, batched admission, singleflight dedup, job retention,
-# budget and deadline enforcement, drain, the HTTP E2E batch, the SSE
-# event stream, and the 10k-job many-tenant load smoke (which rewrites
-# BENCH_serve.json and fails if the burst observed no cross-shard
-# steal or no singleflight collapse).
+# the race detector: admission gating (analyze-once, no head-of-line
+# blocking), DRR fairness across all tenants, singleflight dedup, job
+# retention, budget and deadline enforcement, drain, the HTTP E2E
+# batch, the SSE event stream, and the 10k-job many-tenant correctness
+# burst on both backends (which fails if a job does not complete or no
+# singleflight collapse was observed; it writes no file).
 serve-test:
 	$(GO) test -race ./internal/serve ./cmd/tpal-serve
 
@@ -61,10 +61,12 @@ lint:
 	$(GO) run ./cmd/tpal-lint -Werror -race internal/minipar/testdata
 	$(GO) run ./cmd/tpal-lint -Werror -race -autopar examples/autopar
 
-# lint-go runs the Go-side style gates: go vet plus the repository's
-# own go/ast checker (cmd/golint), which needs no network or module
-# cache — it is pure standard library.
+# lint-go runs the Go-side style gates: gofmt (any file it would
+# rewrite fails the stage), go vet, and the repository's own go/ast
+# checker (cmd/golint), which needs no network or module cache — it is
+# pure standard library.
 lint-go:
+	test -z "$$(gofmt -l . | grep -v '^benchmark/out/')"
 	$(GO) vet ./...
 	$(GO) run ./cmd/golint ./internal ./cmd
 

@@ -16,10 +16,11 @@
 //	GET  /healthz             200 serving / 503 draining
 //	GET  /metrics             counters, queue depth, latency percentiles
 //
-// Dispatch is sharded: tenants hash onto -shards independently locked
-// DRR queues and executors steal across shards when their own runs
-// dry. Results are memoized in a bounded LRU (-result-cache) and
-// identical in-flight submissions collapse onto one execution.
+// All tenants share one DRR queue; each submission is admitted in its
+// own request goroutine and a program is analyzed once however many
+// submitters race. Results are memoized in a bounded LRU
+// (-result-cache) and identical in-flight submissions collapse onto
+// one execution.
 // Terminal job records are retained up to -retain-jobs / -job-ttl and
 // then evicted (GET on an evicted id is a 404).
 //
@@ -63,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	var (
 		addr         = fs.String("addr", "localhost:8334", "listen address")
 		workers      = fs.Int("workers", 0, "executor goroutines (0 = GOMAXPROCS)")
-		shards       = fs.Int("shards", 0, "queue shards tenants hash onto (0 = min(workers, 16))")
 		queueCap     = fs.Int("queue", 256, "admission queue capacity (full queue => 429)")
 		resultCache  = fs.Int("result-cache", 4096, "LRU capacity of the content-addressed result store")
 		retainJobs   = fs.Int("retain-jobs", 4096, "terminal job records kept before eviction")
@@ -101,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 
 	svc := serve.New(serve.Config{
 		Workers:        *workers,
-		Shards:         *shards,
 		QueueCap:       *queueCap,
 		ResultCacheCap: *resultCache,
 		JobRetention:   *retainJobs,
@@ -130,16 +129,17 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stderr, "tpal-serve: %v\n", err)
 		return exitError
 	}
+	// Registered before anyone is told the daemon is up, so a SIGTERM
+	// sent the moment it reports ready drains instead of killing.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	fmt.Fprintf(stdout, "tpal-serve: listening on http://%s\n", ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 
 	select {
 	case err := <-errc:

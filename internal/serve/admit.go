@@ -98,8 +98,13 @@ func detectLang(source string) string {
 }
 
 // admission is the cached outcome of running the full analysis
-// pipeline over one (program, entry-register-set) pair.
+// pipeline over one (program, entry-register-set) pair. The entry is
+// its own singleflight: admit claims it in the cache under the service
+// mutex and fills it outside the lock under analyzeOnce, which is also
+// what publishes the verdict fields to every other submitter of the
+// same key.
 type admission struct {
+	analyzeOnce sync.Once
 	fingerprint string
 	diags       []Diag
 	rejected    bool
@@ -143,44 +148,50 @@ func admitKey(fp string, entry []tpal.Reg) string {
 // task that can starve the shared heartbeat scheduler forever has no
 // place on a multi-tenant pool. Everything else is admitted with a cost
 // quote derived from the symbolic work bound.
+//
+// It is the only function that looks up or fills the verdict cache, for
+// Submit and /v1/analyze alike. The first caller for a key claims an
+// empty entry under the lock; whoever reaches analyzeOnce first runs
+// the pipeline in its own goroutine, the rest wait on that one entry.
+// Callers with different keys never wait on each other. (An entry
+// evicted while it is being filled is simply analyzed again by the
+// next submitter; the pipeline is deterministic.)
 func (s *Service) admit(p *tpal.Program, entry []tpal.Reg) *admission {
 	fp := tpal.Fingerprint(p)
 	key := admitKey(fp, entry)
 
 	s.mu.Lock()
-	if a, ok := s.admissions.get(key); ok {
+	a, ok := s.admissions.get(key)
+	if ok {
 		s.metrics.AnalysisHits++
-		s.mu.Unlock()
-		return a
+	} else {
+		a = &admission{fingerprint: fp}
+		s.admissions.put(key, a)
+		s.metrics.Analyses++
 	}
 	s.mu.Unlock()
 
-	a := s.analyze(p, entry, fp)
-
-	s.mu.Lock()
-	if prev, ok := s.admissions.get(key); ok { // lost a concurrent-analysis race
-		s.metrics.AnalysisHits++
-		s.mu.Unlock()
-		return prev
-	}
-	s.admissions.put(key, a)
-	s.metrics.Analyses++
-	s.mu.Unlock()
+	a.analyzeOnce.Do(func() { s.analyze(a, p, entry) })
 	return a
 }
 
 // analyze runs the analysis pipeline over one (program, entry) pair
-// and builds its admission verdict. It takes no locks and touches no
-// caches — admit and the batched submission path both call it, each
-// managing the analysis cache under the service mutex themselves. The
-// only service state it reads is immutable configuration.
-func (s *Service) analyze(p *tpal.Program, entry []tpal.Reg, fp string) *admission {
+// and fills in its admission verdict. It takes no locks; the only
+// service state it reads is immutable configuration.
+func (s *Service) analyze(a *admission, p *tpal.Program, entry []tpal.Reg) {
+	// sync.Once counts a panicking Do as done, and the entry is already
+	// in the cache: left zero-valued it would read as admitted with
+	// budget 0, which is unlimited fuel, for every later submitter of the
+	// key. Condemn it instead, then let the panic reach the caller.
+	defer func() {
+		if r := recover(); r != nil {
+			a.rejected, a.reason = true, "analysis failed"
+			panic(r)
+		}
+	}()
 	report := analysis.Analyze(p, analysis.Options{EntryRegs: entry, Races: true})
-	a := &admission{
-		fingerprint: fp,
-		diags:       wireDiags(report.Diags),
-		latency:     report.Latency.String(),
-	}
+	a.diags = wireDiags(report.Diags)
+	a.latency = report.Latency.String()
 	switch {
 	case analysis.HasErrors(report.Diags):
 		a.rejected = true
@@ -199,7 +210,6 @@ func (s *Service) analyze(p *tpal.Program, entry []tpal.Reg, fp string) *admissi
 			}
 		}
 	}
-	return a
 }
 
 // compiledFor returns the closure-threaded form of the program the

@@ -96,7 +96,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	view, _ := s.JobView(j.ID)
+	// The view comes from the record Submit returned, not from the id
+	// map: a job that is terminal at submission may already have been
+	// evicted from it by the retention cap or TTL.
+	s.mu.Lock()
+	view := j.view()
+	s.mu.Unlock()
 	if view.Status == StatusRejected {
 		// The structured diagnostics are the contract: clients match on
 		// TP0xx codes exactly as they would on tpal-lint -json output.
@@ -175,7 +180,7 @@ func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // spread over the worker pool.
 func (s *Service) retryAfter() int {
 	s.mu.Lock()
-	depth := s.queuedN
+	depth := s.queue.len()
 	p50 := stats.Percentile(s.metrics.exec.values(), 50)
 	s.mu.Unlock()
 	return retryAfterSeconds(depth, p50, s.cfg.Workers)

@@ -1,61 +1,21 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"tpal/internal/stats"
 	"tpal/internal/tpal/machine"
 	"tpal/internal/tpal/programs"
 )
-
-// benchServeRun is one backend's load result inside BENCH_serve.json.
-type benchServeRun struct {
-	Throttled      int64   `json:"throttled"`
-	WallMS         float64 `json:"wall_ms"`
-	ThroughputJobS float64 `json:"throughput_jobs_per_sec"`
-	SubmitP50US    float64 `json:"submit_p50_us"`
-	SubmitP99US    float64 `json:"submit_p99_us"`
-	TurnP50MS      float64 `json:"turnaround_p50_ms"`
-	TurnP99MS      float64 `json:"turnaround_p99_ms"`
-	Executions     int64   `json:"executions"`
-	Steals         int64   `json:"steals"`
-	Singleflight   int64   `json:"singleflight_collapses"`
-	ResultHits     int64   `json:"result_cache_hits"`
-	Evictions      int64   `json:"result_evictions"`
-	JobsEvicted    int64   `json:"jobs_evicted"`
-	Compiles       int64   `json:"compiles,omitempty"`
-	CompileHits    int64   `json:"compile_cache_hits,omitempty"`
-	CompiledRuns   int64   `json:"compiled_runs,omitempty"`
-}
-
-// benchServe is the schema of BENCH_serve.json: a smoke-level load
-// result for the service on each execution backend, comparable across
-// commits. RaceDetector records the measurement mode: the file is only
-// ever written from a `-race` build (`make serve-test`), so the
-// numbers stay comparable.
-type benchServe struct {
-	Submissions  int           `json:"submissions"`
-	RaceDetector bool          `json:"race_detector"`
-	Workers      int           `json:"workers"`
-	Shards       int           `json:"shards"`
-	Tenants      int           `json:"tenants"`
-	QueueCap     int           `json:"queue_cap"`
-	Interp       benchServeRun `json:"interp"`
-	Compiled     benchServeRun `json:"compiled"`
-}
 
 const (
 	smokeSubmissions = 10_000
 	smokeSubmitters  = 128 // concurrent submitter goroutines feeding the burst
 	smokeWorkers     = 4
-	smokeShards      = 4
 	smokeTenants     = 32
 	smokeQueueCap    = 64  // small on purpose: the burst must hit backpressure
 	smokeResultCap   = 512 // below the distinct-key count, so the LRU must evict
@@ -64,22 +24,21 @@ const (
 
 // driveLoad pushes smokeSubmissions submissions from smokeTenants
 // tenants through a deliberately small queue on the given backend and
-// returns throughput and latency percentiles. A fixed pool of
+// returns the service's final counters. A fixed pool of
 // smokeSubmitters goroutines feeds the burst — enough concurrency to
 // keep duplicates in flight together and the queue saturated, without
 // drowning the race detector in ten thousand goroutines spinning on
 // the retry path. Four in five submissions draw from a small hot set
 // of argument vectors — the singleflight registry and the result
 // store collapse most of them — while the rest are unique and keep
-// real executions flowing through every shard. Throttled submissions
+// real executions flowing through the queue. Throttled submissions
 // retry, so every job eventually lands: full completion is asserted,
-// which exercises backpressure, sharded DRR dispatch, work stealing,
-// batched admission, and both dedup layers together under load.
-func driveLoad(t *testing.T, backend machine.Backend) benchServeRun {
+// which exercises backpressure, DRR dispatch, concurrent admission,
+// and both dedup layers together under load.
+func driveLoad(t *testing.T, backend machine.Backend) MetricsSnapshot {
 	t.Helper()
 	s := newTestService(t, Config{
 		Workers:        smokeWorkers,
-		Shards:         smokeShards,
 		QueueCap:       smokeQueueCap,
 		ResultCacheCap: smokeResultCap,
 		JobRetention:   smokeRetention,
@@ -92,11 +51,7 @@ func driveLoad(t *testing.T, backend machine.Backend) benchServeRun {
 		tenantNames[i] = fmt.Sprintf("t%02d", i)
 	}
 	var (
-		mu          sync.Mutex
-		submitUS    []float64
-		turnMS      []float64
 		completed   atomic.Int64
-		throttled   atomic.Int64
 		failedJobs  atomic.Int64
 		otherErrors atomic.Int64
 	)
@@ -121,21 +76,14 @@ func driveLoad(t *testing.T, backend machine.Backend) benchServeRun {
 					Source: programs.ProdSource,
 					Args:   args,
 				}
-				born := time.Now()
 				var j *Job
 				for {
-					t0 := time.Now()
 					var err error
 					j, err = s.Submit(req)
-					elapsed := time.Since(t0)
 					if err == nil {
-						mu.Lock()
-						submitUS = append(submitUS, float64(elapsed.Microseconds()))
-						mu.Unlock()
 						break
 					}
 					if errors.Is(err, ErrQueueFull) {
-						throttled.Add(1)
 						time.Sleep(time.Millisecond)
 						continue
 					}
@@ -158,9 +106,6 @@ func driveLoad(t *testing.T, backend machine.Backend) benchServeRun {
 					continue
 				}
 				completed.Add(1)
-				mu.Lock()
-				turnMS = append(turnMS, float64(time.Since(born).Microseconds())/1000)
-				mu.Unlock()
 			}
 		}()
 	}
@@ -182,35 +127,16 @@ func driveLoad(t *testing.T, backend machine.Backend) benchServeRun {
 	}
 
 	snap := s.Snapshot()
-	run := benchServeRun{
-		Throttled:      snap.Throttled,
-		WallMS:         float64(wall.Microseconds()) / 1000,
-		ThroughputJobS: float64(smokeSubmissions) / wall.Seconds(),
-		SubmitP50US:    stats.Percentile(submitUS, 50),
-		SubmitP99US:    stats.Percentile(submitUS, 99),
-		TurnP50MS:      stats.Percentile(turnMS, 50),
-		TurnP99MS:      stats.Percentile(turnMS, 99),
-		Executions:     snap.Executions,
-		Steals:         snap.Steals,
-		Singleflight:   snap.SingleflightCollapses,
-		ResultHits:     snap.ResultHits,
-		Evictions:      snap.ResultEvictions,
-		JobsEvicted:    snap.JobsEvicted,
-		Compiles:       snap.Compiles,
-		CompileHits:    snap.CompileCacheHits,
-		CompiledRuns:   snap.CompiledRuns,
-	}
-	t.Logf("load smoke (%s): %d jobs in %v (%.0f jobs/s; %d executions, %d steals, %d collapses, %d cache hits, %d throttled)",
-		backend, smokeSubmissions, wall.Round(time.Millisecond), run.ThroughputJobS,
-		run.Executions, run.Steals, run.Singleflight, run.ResultHits, run.Throttled)
-	return run
+	t.Logf("load smoke (%s): %d jobs in %v (%d executions, %d collapses, %d cache hits, %d throttled)",
+		backend, smokeSubmissions, wall.Round(time.Millisecond),
+		snap.Executions, snap.SingleflightCollapses, snap.ResultHits, snap.Throttled)
+	return snap
 }
 
-// TestLoadSmoke drives the burst on both execution backends and records
-// each backend's walls as separate fields in BENCH_serve.json at the
-// repo root. The file is only written when the race detector is on
-// (`make serve-test`), so numbers stay comparable across commits; plain
-// `go test` runs still drive the load but leave the file alone.
+// TestLoadSmoke is a correctness burst, not a benchmark: every job of
+// the burst must complete on both execution backends through the
+// 64-slot queue. The serve numbers live in the front-door benchmark
+// (benchmark/, workloads serve-hot / serve-mixed / serve-exec).
 func TestLoadSmoke(t *testing.T) {
 	interp := driveLoad(t, machine.BackendInterp)
 	compiled := driveLoad(t, machine.BackendCompiled)
@@ -224,49 +150,20 @@ func TestLoadSmoke(t *testing.T) {
 		t.Error("compiled smoke: no jobs executed on the compiled backend")
 	}
 
-	// BENCH_serve.json exists to be compared across commits, so it is
-	// only ever written from the canonical measurement mode: a `-race`
-	// build, i.e. `make serve-test`. A plain `go test ./...` run is an
-	// order of magnitude faster and would silently replace the baseline
-	// with incomparable numbers.
+	// Under the race detector (`make serve-test`) executions are slow
+	// enough that concurrent duplicates must overlap: a burst with no
+	// singleflight collapse executed them all redundantly. A plain build
+	// can finish each run before its duplicate arrives, so the check is
+	// only made there.
 	if !raceDetectorOn {
-		t.Log("race detector off: exercising the service only, not rewriting BENCH_serve.json")
 		return
 	}
-
-	// In the canonical mode the burst must actually exercise the sharded
-	// dispatch and dedup machinery, or the recorded numbers never touched
-	// the code paths this benchmark exists to watch: a run with no
-	// cross-shard steal means the affinity/stealing scan never balanced
-	// load, and one with no singleflight collapse means the concurrent
-	// duplicates all executed redundantly.
 	for _, r := range []struct {
 		name string
-		run  benchServeRun
+		snap MetricsSnapshot
 	}{{"interp", interp}, {"compiled", compiled}} {
-		if r.run.Steals == 0 {
-			t.Errorf("%s burst recorded no cross-shard steals: the stealing path was never exercised", r.name)
-		}
-		if r.run.Singleflight == 0 {
+		if r.snap.SingleflightCollapses == 0 {
 			t.Errorf("%s burst recorded no singleflight collapses: concurrent duplicates all executed", r.name)
 		}
-	}
-
-	report := benchServe{
-		Submissions:  smokeSubmissions,
-		RaceDetector: raceDetectorOn,
-		Workers:      smokeWorkers,
-		Shards:       smokeShards,
-		Tenants:      smokeTenants,
-		QueueCap:     smokeQueueCap,
-		Interp:       interp,
-		Compiled:     compiled,
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal report: %v", err)
-	}
-	if err := os.WriteFile("../../BENCH_serve.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_serve.json: %v", err)
 	}
 }

@@ -50,14 +50,11 @@ type Metrics struct {
 	ResultHits     int64
 	TracedJobs     int64 // executions run with a per-job tracer
 
-	// Sharded-dispatch counters: executions started, jobs a worker stole
-	// from another shard's queue, admission batches processed, analysis
-	// pipeline runs (unique fingerprints actually analyzed), identical
-	// in-flight submissions collapsed by singleflight, and eviction
-	// counts for the two bounded stores (results LRU, job retention).
+	// Dispatch and dedup counters: executions started, analysis
+	// pipeline runs (verdict-cache entries claimed), identical in-flight
+	// submissions collapsed by singleflight, and terminal job records
+	// evicted by the retention cap or TTL.
 	Executions            int64
-	Steals                int64
-	Batches               int64
 	Analyses              int64
 	SingleflightCollapses int64
 	JobsEvicted           int64
@@ -159,14 +156,17 @@ type MetricsSnapshot struct {
 	QueueDepth int  `json:"queue_depth"`
 	InFlight   int  `json:"in_flight"`
 	Workers    int  `json:"workers"`
-	Shards     int  `json:"shards"`
 	Draining   bool `json:"draining"`
 
-	// Sharded-dispatch gauges: executions started, cross-shard steals,
-	// admission batches, unique analyses, concurrent duplicates collapsed
-	// by singleflight, and eviction/retention state of the two bounded
-	// stores.
-	Executions            int64 `json:"executions"`
+	// Dispatch and dedup gauges: executions started, unique analyses,
+	// concurrent duplicates collapsed by singleflight, and
+	// eviction/retention state of the two bounded stores.
+	Executions int64 `json:"executions"`
+	// Steals and Batches are always 0: the service has one queue and
+	// every Submit admits its own job, so there are no shards to steal
+	// across and no admission batches. The fields exist only because
+	// benchmark/, which this package's PRs may not edit, still reads
+	// them; they go in the next benchmark PR.
 	Steals                int64 `json:"steals"`
 	Batches               int64 `json:"admission_batches"`
 	Analyses              int64 `json:"analyses"`
@@ -253,22 +253,19 @@ func (s *Service) Snapshot() MetricsSnapshot {
 		CompileCacheHits: m.CompileCacheHits,
 		CompiledRuns:     m.CompiledRuns,
 		ChecksHoisted:    m.ChecksHoisted,
-		QueueDepth:       s.queuedN,
+		QueueDepth:       s.queue.len(),
 		InFlight:         len(s.inflight),
 		Workers:          s.cfg.Workers,
-		Shards:           len(s.shards),
 		Draining:         s.draining,
 
 		Executions:            m.Executions,
-		Steals:                m.Steals,
-		Batches:               m.Batches,
 		Analyses:              m.Analyses,
 		SingleflightCollapses: m.SingleflightCollapses,
 		ResultEvictions:       s.results.evictions,
 		JobsEvicted:           m.JobsEvicted,
 		JobsRetained:          len(s.jobs),
 
-		TenantDeficits:   s.shardDeficits(),
+		TenantDeficits:   s.queue.deficits(),
 		BusyFraction:     busy,
 		PromotionRate:    rate,
 		TracedJobs:       m.TracedJobs,

@@ -6,8 +6,8 @@ package serve
 // tenant's head job once its deficit covers the job's cost (the quoted
 // step budget). A tenant streaming expensive jobs therefore yields the
 // pool to cheap-job tenants in proportion to cost, while a lone tenant
-// still gets every slot. The queue is not goroutine-safe; each shard's
-// mutex guards its own instance.
+// still gets every slot. The queue is not goroutine-safe; the service
+// mutex guards it.
 type drrQueue struct {
 	quantum int64
 	tenants map[string]*tenantQueue

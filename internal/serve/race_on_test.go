@@ -3,6 +3,6 @@
 package serve
 
 // raceDetectorOn reports whether this test binary was built with the
-// race detector — the canonical mode for `make serve-test`, and the
-// only mode allowed to rewrite BENCH_serve.json (see loadsmoke_test.go).
+// race detector — the mode of `make serve-test`, and the only one slow
+// enough for TestLoadSmoke to demand a singleflight collapse.
 const raceDetectorOn = true

@@ -23,15 +23,15 @@ func TestRetryAfterSeconds(t *testing.T) {
 		workers int
 		want    int
 	}{
-		{0, 500, 4, 1},       // empty queue: floor
-		{10, 0, 4, 1},        // no execution history yet: floor
-		{10, 2000, 4, 5},     // 10×2s over 4 workers = 5s
-		{10, 2000, 1, 20},    // one worker drains serially
-		{7, 300, 2, 2},       // 2.1s/2 → ceil(1.05) = 2
-		{1, 1, 8, 1},         // sub-second estimate: floor
+		{0, 500, 4, 1},        // empty queue: floor
+		{10, 0, 4, 1},         // no execution history yet: floor
+		{10, 2000, 4, 5},      // 10×2s over 4 workers = 5s
+		{10, 2000, 1, 20},     // one worker drains serially
+		{7, 300, 2, 2},        // 2.1s/2 → ceil(1.05) = 2
+		{1, 1, 8, 1},          // sub-second estimate: floor
 		{100000, 5000, 2, 60}, // absurd backlog: capped
-		{-3, 1000, 2, 1},     // defensive: negative depth clamps
-		{5, 1000, 0, 5},      // defensive: zero workers treated as one
+		{-3, 1000, 2, 1},      // defensive: negative depth clamps
+		{5, 1000, 0, 5},       // defensive: zero workers treated as one
 	}
 	for _, c := range cases {
 		if got := retryAfterSeconds(c.depth, c.p50MS, c.workers); got != c.want {

@@ -15,15 +15,19 @@
 // untrusted jobs without oversubscription, and the same analyses that
 // prove a program safe also price it.
 //
-// Dispatch is sharded (shard.go): tenants hash onto independently
-// locked DRR queues, each executor has an affinity shard and steals
-// from the others when its own runs dry. Admission is batched
-// (batch.go): concurrent submissions combine into leader-processed
-// batches that analyze once per unique program and admit under one
-// mutex hold. Completed results live in a bounded LRU store (store.go)
-// and identical in-flight submissions collapse onto one execution via
-// the singleflight registry. Every job carries a replayable event
-// stream (events.go) served over SSE by GET /v1/jobs/{id}/events.
+// There is one lock. Every tenant queues on one DRR queue (queue.go)
+// guarded by the service mutex, and idle executors wait on that
+// mutex's condition variable. Every Submit admits its own job: the
+// verdict-cache entry is claimed under the lock and filled outside it
+// under a sync.Once, so one program is analyzed once however many
+// submitters race and different programs analyze concurrently in their
+// callers' goroutines (admit.go). Completed results live in a bounded
+// LRU store (store.go) and identical in-flight submissions collapse
+// onto one execution via the singleflight registry. Every job carries
+// a replayable event stream (events.go) served over SSE by
+// GET /v1/jobs/{id}/events. DESIGN.md §16 records the measurements
+// that retired the tenant-hashed queues, the stealing and the batched
+// admission this package used to have.
 package serve
 
 import (
@@ -37,6 +41,7 @@ import (
 
 	"tpal/internal/tpal"
 	"tpal/internal/tpal/machine"
+	"tpal/internal/tpal/machine/compile"
 	"tpal/internal/trace"
 )
 
@@ -62,10 +67,6 @@ type Config struct {
 	// Workers is the executor pool size (default GOMAXPROCS). The pool
 	// is fixed: admission control, not spawning, absorbs load.
 	Workers int
-	// Shards is the number of independently locked queue shards tenants
-	// hash onto (default min(Workers, 16)). Each worker has an affinity
-	// shard and steals from the others when its own is empty.
-	Shards int
 	// QueueCap bounds the number of queued jobs across all tenants;
 	// submissions beyond it fail with ErrQueueFull (default 256).
 	QueueCap int
@@ -128,12 +129,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Shards <= 0 {
-		c.Shards = c.Workers
-		if c.Shards > 16 {
-			c.Shards = 16
-		}
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
@@ -219,21 +214,12 @@ type SubmitRequest struct {
 type Service struct {
 	cfg Config
 
-	// mu guards the job table, metrics, caches, and all per-job mutable
-	// state. It is deliberately NOT on the queue hot path: shards carry
-	// their own locks (lock order: mu may nest a shard lock; never the
-	// reverse), and idle workers park on idleCond, not on mu.
-	mu sync.Mutex
-
-	shards  []*shard
-	qdepth  atomic.Int64 // jobs physically sitting in shard queues
-	queuedN int          // admission-visible queue depth, guarded by mu
-
-	idleMu   sync.Mutex
-	idleCond *sync.Cond  // workers park here when every shard is dry
-	drain    atomic.Bool // mirrors draining for lock-free worker exits
-
-	batch batcher
+	// mu is the one lock: it guards the queue, the job table, metrics,
+	// caches, and all per-job mutable state. Executors with nothing to
+	// run wait on work, its condition variable.
+	mu    sync.Mutex
+	work  *sync.Cond
+	queue *drrQueue
 
 	jobs     map[string]*Job
 	retired  []*Job // terminal jobs in finish order, pruned by cap and TTL
@@ -277,17 +263,14 @@ func New(cfg Config) *Service {
 		admissions: newLRUStore[*admission](cfg.ResultCacheCap),
 		results:    newLRUStore[*cachedResult](cfg.ResultCacheCap),
 		metrics:    newMetrics(),
+		queue:      newDRRQueue(cfg.Quantum),
 		started:    time.Now(),
 	}
-	s.idleCond = sync.NewCond(&s.idleMu)
-	s.shards = make([]*shard, cfg.Shards)
-	for i := range s.shards {
-		s.shards[i] = &shard{q: newDRRQueue(cfg.Quantum)}
-	}
+	s.work = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go s.worker(i % cfg.Shards)
+		go s.worker()
 	}
 	return s
 }
@@ -328,20 +311,9 @@ func (s *Service) Submit(req SubmitRequest) (*Job, error) {
 	s.metrics.Submitted++
 	s.mu.Unlock()
 
-	w, err := s.prepare(req)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
-	}
-	s.enqueueBatch(w)
-	return w.j, w.err
-}
-
-// prepare parses one submission into a batch work item: program, entry
-// register set, fingerprint, and admission key. It takes no locks.
-func (s *Service) prepare(req SubmitRequest) (*submitWork, error) {
 	prog, params, autoRep, err := s.loadSubmission(req)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 
 	// Entry registers: declared params, argument keys, and any extras.
@@ -360,46 +332,157 @@ func (s *Service) prepare(req SubmitRequest) (*submitWork, error) {
 		entry = append(entry, r)
 	}
 
-	fp := tpal.Fingerprint(prog)
-	return &submitWork{
-		req:     req,
-		prog:    prog,
-		entry:   entry,
-		autoRep: autoRep,
-		fp:      fp,
-		key:     admitKey(fp, entry),
-		done:    make(chan struct{}),
-	}, nil
+	adm := s.admit(prog, entry)
+	if adm.optimized != nil {
+		prog = adm.optimized
+	}
+	var compiled *compile.Program
+	if s.cfg.Backend == machine.BackendCompiled && !adm.rejected {
+		compiled = s.compiledFor(adm, prog, entry)
+	}
+	return s.settle(req, adm, prog, compiled, autoRep)
 }
 
-// worker is one executor goroutine: it serves its affinity shard,
-// steals from the others when that runs dry, and parks on idleCond
-// when every shard is empty.
-func (s *Service) worker(affinity int) {
+// settle turns one admitted submission into its job record and decides
+// the job's fate under a single hold of the service mutex: rejected,
+// served from the result cache, coalesced onto an identical in-flight
+// job, bounced off the full queue, or queued with one executor woken.
+func (s *Service) settle(req SubmitRequest, adm *admission, prog *tpal.Program, compiled *compile.Program, autoRep *AutoparReport) (*Job, error) {
+	tenant := req.Tenant
+	if tenant == "" {
+		tenant = "anonymous"
+	}
+	heartbeat := s.cfg.Heartbeat
+	if req.Heartbeat > 0 {
+		heartbeat = req.Heartbeat
+	}
+	timeout := s.cfg.DefaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	}
+	if timeout > s.cfg.MaxTimeout {
+		timeout = s.cfg.MaxTimeout
+	}
+	regs := make(machine.RegFile, len(req.Args))
+	for k, v := range req.Args {
+		regs[tpal.Reg(k)] = machine.IntV(v)
+	}
+
+	now := time.Now()
+	j := &Job{
+		Tenant:      tenant,
+		Fingerprint: adm.fingerprint,
+		Quote:       adm.quote,
+		Autopar:     autoRep,
+		Submitted:   now,
+		prog:        prog,
+		compiled:    compiled,
+		regs:        regs,
+		heartbeat:   heartbeat,
+		signal:      s.cfg.SignalPeriod,
+		timeout:     timeout,
+		traced:      req.Trace,
+		done:        make(chan struct{}),
+	}
+	if req.Fuel > 0 && req.Fuel < j.Quote.Budget {
+		j.Quote.Budget = req.Fuel
+	}
+	j.cost = j.Quote.Budget
+	if j.cost <= 0 {
+		j.cost = 1
+	}
+	j.cacheKey = resultKey(adm.fingerprint, req.Args, heartbeat, s.cfg.SignalPeriod)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return nil, ErrDraining
+	}
+	s.seq++
+	j.ID = fmt.Sprintf("j%06d", s.seq)
+
+	primary, inflight := s.primaries[j.cacheKey]
+	coalesce := inflight && !j.traced && primary.Quote.Budget == j.Quote.Budget
+	var cached *cachedResult
+	if !j.traced {
+		cached, _ = s.results.get(j.cacheKey)
+	}
+
+	switch {
+	case adm.rejected:
+		j.Status = StatusRejected
+		j.Diags = adm.diags
+		j.Error = adm.reason
+		j.Finished = now
+		s.jobs[j.ID] = j
+		s.metrics.Rejected++
+		s.finishLocked(j)
+
+	case cached != nil:
+		j.Status = StatusDone
+		j.Result = cached.result
+		j.Stats = cached.stats
+		j.Cached = true
+		j.Started = now
+		j.Finished = now
+		s.jobs[j.ID] = j
+		s.metrics.ResultHits++
+		s.metrics.Admitted++
+		s.metrics.Completed++
+		s.metrics.noteAutopar(j.Autopar)
+		s.finishLocked(j)
+
+	case coalesce:
+		// Singleflight: an identical submission is already in flight;
+		// ride it instead of executing again.
+		j.Status = StatusQueued
+		j.Coalesced = true
+		primary.followers = append(primary.followers, j)
+		s.jobs[j.ID] = j
+		s.metrics.Admitted++
+		s.metrics.SingleflightCollapses++
+		s.metrics.noteAutopar(j.Autopar)
+		s.publishLocked(j, statusEvent(j))
+
+	case s.queue.len() >= s.cfg.QueueCap:
+		s.metrics.Throttled++
+		return nil, ErrQueueFull
+
+	default:
+		j.Status = StatusQueued
+		s.jobs[j.ID] = j
+		if !inflight {
+			s.primaries[j.cacheKey] = j
+		}
+		s.metrics.Admitted++
+		s.metrics.noteAutopar(j.Autopar)
+		s.publishLocked(j, statusEvent(j))
+		s.queue.push(j)
+		s.work.Signal()
+	}
+	return j, nil
+}
+
+// worker is one executor goroutine: it pops the next job DRR grants
+// and marks it running under one hold of the service mutex, waiting on
+// the condition variable while the queue is empty. It exits once the
+// service is draining and nothing is queued.
+func (s *Service) worker() {
 	defer s.wg.Done()
 	for {
-		j, stolen := s.take(affinity)
-		if j == nil {
-			s.idleMu.Lock()
-			for s.qdepth.Load() == 0 && !s.drain.Load() {
-				s.idleCond.Wait()
-			}
-			s.idleMu.Unlock()
-			if s.drain.Load() && s.qdepth.Load() == 0 {
-				return
-			}
-			continue
-		}
-
 		s.mu.Lock()
+		for s.queue.len() == 0 && !s.draining {
+			s.work.Wait()
+		}
+		j := s.queue.pop()
+		if j == nil {
+			s.mu.Unlock()
+			return
+		}
 		j.Status = StatusRunning
 		j.Started = time.Now()
-		s.queuedN--
 		s.inflight[j.ID] = j
 		s.metrics.queueWait.add(float64(j.Started.Sub(j.Submitted)) / float64(time.Millisecond))
-		if stolen {
-			s.metrics.Steals++
-		}
 		s.publishLocked(j, statusEvent(j))
 		hook := s.hookRunning
 		s.mu.Unlock()
@@ -660,19 +743,9 @@ func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
 	s.draining = true
-	s.drain.Store(true)
 	if !already {
 		now := time.Now()
-		var drained []*Job
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			js := sh.q.drainAll()
-			sh.mu.Unlock()
-			s.qdepth.Add(-int64(len(js)))
-			drained = append(drained, js...)
-		}
-		s.queuedN -= len(drained)
-		for _, j := range drained {
+		for _, j := range s.queue.drainAll() {
 			j.Status = StatusCanceled
 			j.Error = "server draining"
 			j.Finished = now
@@ -680,11 +753,8 @@ func (s *Service) Drain(ctx context.Context) error {
 			s.finishLocked(j)
 		}
 	}
+	s.work.Broadcast()
 	s.mu.Unlock()
-
-	s.idleMu.Lock()
-	s.idleCond.Broadcast()
-	s.idleMu.Unlock()
 
 	done := make(chan struct{})
 	go func() {

@@ -502,6 +502,71 @@ func TestDRRCostWeighting(t *testing.T) {
 	}
 }
 
+// TestServiceFairAcrossTenants: DRR meters every backlogged tenant
+// against every other one, whichever tenants they are. Three tenants
+// queue twelve equal-cost jobs each behind two held blockers; by the
+// time one of them starts its twelfth job the other two must have
+// started nearly all of theirs. (When tenants were hashed onto one DRR
+// queue per executor, FNV-1a put a and c together and b alone, so b had
+// a worker to itself and finished while a and c were half way.)
+func TestServiceFairAcrossTenants(t *testing.T) {
+	// TripAssume is raised so the quote covers a=5000: each job then
+	// runs for milliseconds and scheduling noise cannot reorder starts.
+	s := newTestService(t, Config{Workers: 2, TripAssume: 1 << 14})
+	release := make(chan struct{})
+	blocked := make(chan struct{}, 2)
+	var mu sync.Mutex
+	started := map[string]int{}
+	atB12 := map[string]int{}
+	s.setRunningHook(func(j *Job) {
+		if j.Tenant == "blocker" {
+			blocked <- struct{}{}
+			<-release
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		started[j.Tenant]++
+		if j.Tenant == "b" && started["b"] == 12 {
+			atB12["a"], atB12["c"] = started["a"], started["c"]
+		}
+	})
+
+	submit := func(tenant string, b int64) *Job {
+		j, err := s.Submit(SubmitRequest{
+			Tenant: tenant,
+			Source: programs.ProdSource,
+			Args:   map[string]int64{"a": 5000, "b": b}, // distinct cache keys, equal quotes
+		})
+		if err != nil {
+			t.Fatalf("Submit %s/%d: %v", tenant, b, err)
+		}
+		return j
+	}
+	jobs := []*Job{submit("blocker", 1), submit("blocker", 2)}
+	<-blocked
+	<-blocked
+	for i, tenant := range []string{"a", "c", "b"} {
+		for k := 0; k < 12; k++ {
+			jobs = append(jobs, submit(tenant, int64(100*(i+1)+k)))
+		}
+	}
+	close(release)
+	for _, j := range jobs {
+		if v := await(t, j); v.Status != StatusDone {
+			t.Fatalf("job %s: status %s (%s)", v.ID, v.Status, v.Error)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, tenant := range []string{"a", "c"} {
+		if atB12[tenant] < 10 {
+			t.Errorf("when b started its 12th job, %s had started %d of 12, want >= 10", tenant, atB12[tenant])
+		}
+	}
+}
+
 // TestConcurrentSubmitters hammers Submit from many goroutines; the
 // assertions are about accounting (every accepted job terminates, and
 // the metrics add up), and the -race build checks the locking.
