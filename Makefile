@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-test serve-test autopar-test compile-test lint lint-go fuzz cover bench bench-rt bench-smoke ci
+.PHONY: build test vet race race-test serve-test autopar-test compile-test lint lint-go fuzz cover bench bench-smoke ci
 
 build:
 	$(GO) build ./...
@@ -111,26 +111,15 @@ cover:
 		  if (pct + 0 < floor + 0) { printf "coverage %s%% is below the %s%% floor\n", pct, floor; exit 1 } \
 		  else { printf "coverage %s%% meets the %s%% floor\n", pct, floor } }'
 
-# bench runs the Go micro-benchmarks for the execution backends:
-# per-step dispatch cost of the interpreter vs the closure-threaded
-# backend across serial, heartbeat, and sanitizer configurations, plus
-# the one-time lowering cost per corpus program.
+# bench runs every Go micro-benchmark the repository keeps: per-step
+# dispatch cost of the interpreter vs the closure-threaded backend
+# (corpus and the plus-reduce kernel; serial, heartbeat, sanitizer and
+# fan-out configurations) and the one-time lowering cost per corpus
+# program, the cost of one promotion, and the four design ablations of
+# DESIGN.md §5. How fast the system is end to end is not measured here
+# but by `bash benchmark/run.sh`; the paper's figures are tpal-bench's.
 bench:
-	$(GO) test ./internal/tpal/machine -run='^$$' -bench 'BenchmarkDispatch|BenchmarkCompile' -benchtime 1s
-
-# bench-rt rewrites BENCH_rt.json, the committed runtime perf baseline:
-# the native-runtime benchmark walls (plus-reduce-array, spmv-random,
-# spmv-powerlaw, floyd-warshall-1K, mergesort-uniform, mergesort-exp)
-# with the tracer disabled and enabled, the abstract-machine kernels on
-# the interpreter vs the compiled backend (with and without the race
-# sanitizer), and the corpus promotion-gap check against the static
-# liveness bounds. It fails if the tracer delta on plus-reduce-array
-# exceeds the 5% overhead contract (DESIGN.md §11), the compiled
-# backend's plus-reduce-array ns/step is worse than the committed
-# baseline it overwrites by more than measured noise (DESIGN.md §15),
-# or an observed gap exceeds its static bound.
-bench-rt:
-	$(GO) run ./cmd/tpal-trace -bench-rt -reps 5 -out BENCH_rt.json
+	$(GO) test ./internal/tpal/machine ./internal/heartbeat . -run='^$$' -bench . -benchtime 1s
 
 # bench-smoke vets and tests the front-door benchmark harness.
 # benchmark/ is its own Go module, so the root `go build ./...` and
@@ -139,4 +128,13 @@ bench-rt:
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-ci: vet lint-go build race race-test serve-test autopar-test compile-test lint fuzz cover bench-rt bench-smoke
+# ci snapshots `git status --porcelain` before its first stage and
+# fails if it differs after the last, so no stage can rewrite a tracked
+# file (or leave an unignored one behind) unnoticed.
+ci:
+	@before="$$(git status --porcelain)"; \
+	$(MAKE) vet lint-go build race race-test serve-test autopar-test compile-test lint fuzz cover bench-smoke || exit 1; \
+	after="$$(git status --porcelain)"; \
+	if [ "$$before" != "$$after" ]; then \
+		echo "ci: a stage changed the working tree:"; echo "$$after"; exit 1; \
+	fi

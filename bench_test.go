@@ -1,13 +1,13 @@
-// Benchmarks regenerating the paper's figures as testing.B entries, one
-// family per figure, plus ablations for the design choices DESIGN.md
-// calls out. Each sub-benchmark measures the quantity the figure plots
-// (single-core run time per system, delivery rates, projected speedups,
-// task counts) on scaled-down inputs so `go test -bench=.` completes in
-// minutes; cmd/tpal-bench runs the full experiments with configurable
-// scale and prints the paper-shaped tables.
+// Ablation benchmarks for the design choices DESIGN.md §5 calls out:
+// poll stride, promotion policy, the heartbeat interval and the Cilk
+// loop grain, each swept on one native kernel at one worker. Nothing
+// else measures these sweeps. How fast the system is belongs to the
+// front-door benchmark (bash benchmark/run.sh) and the paper's figures
+// to cmd/tpal-bench.
 package tpal_test
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -15,19 +15,9 @@ import (
 	"tpal/internal/cilk"
 	"tpal/internal/heartbeat"
 	"tpal/internal/interrupt"
-	"tpal/internal/tpal/machine"
-	"tpal/internal/tpal/programs"
 )
 
 const benchScale = 0.15
-
-// quickSuite is the subset used by per-figure families to keep -bench=.
-// fast; cmd/tpal-bench covers the full suite.
-var quickSuite = []string{
-	"plus-reduce-array", "spmv-random", "spmv-arrowhead",
-	"mandelbrot", "srad", "floyd-warshall-1K",
-	"knapsack", "mergesort-uniform",
-}
 
 func setupBench(b *testing.B, name string) bench.Benchmark {
 	b.Helper()
@@ -40,22 +30,6 @@ func setupBench(b *testing.B, name string) bench.Benchmark {
 	return bm
 }
 
-func runSerial(b *testing.B, bm bench.Benchmark) {
-	for i := 0; i < b.N; i++ {
-		bm.RunSerial()
-	}
-}
-
-func runCilk(b *testing.B, bm bench.Benchmark, cores int) cilk.Stats {
-	var last cilk.Stats
-	for i := 0; i < b.N; i++ {
-		last = cilk.Run(cilk.Config{Workers: 1, HeuristicWorkers: cores}, func(c *cilk.Ctx) {
-			bm.RunCilk(c)
-		})
-	}
-	return last
-}
-
 func runHB(b *testing.B, bm bench.Benchmark, cfg heartbeat.Config) heartbeat.Stats {
 	var last heartbeat.Stats
 	for i := 0; i < b.N; i++ {
@@ -66,194 +40,9 @@ func runHB(b *testing.B, bm bench.Benchmark, cfg heartbeat.Config) heartbeat.Sta
 	return last
 }
 
-func linuxMech() interrupt.Mechanism {
-	return interrupt.NewVirtualSim(interrupt.LinuxPingThread, 15)
-}
-
 func nautilusMech() interrupt.Mechanism {
 	return interrupt.NewVirtualSim(interrupt.Nautilus, 15)
 }
-
-// BenchmarkFig6 measures single-core task-creation overheads: serial,
-// Cilk, TPAL/Linux, TPAL/Nautilus per benchmark (Figure 6).
-func BenchmarkFig6(b *testing.B) {
-	for _, name := range quickSuite {
-		bm := setupBench(b, name)
-		b.Run(name+"/serial", func(b *testing.B) { runSerial(b, bm) })
-		b.Run(name+"/cilk", func(b *testing.B) { runCilk(b, bm, 15) })
-		b.Run(name+"/tpal-linux", func(b *testing.B) {
-			runHB(b, bm, heartbeat.Config{Workers: 1, Mechanism: linuxMech()})
-		})
-		b.Run(name+"/tpal-nautilus", func(b *testing.B) {
-			runHB(b, bm, heartbeat.Config{Workers: 1, Mechanism: nautilusMech()})
-		})
-	}
-}
-
-// BenchmarkFig7 reports projected 15-core speedups for Cilk and
-// TPAL/Linux (Figure 7).
-func BenchmarkFig7(b *testing.B) {
-	for _, name := range quickSuite {
-		bm := setupBench(b, name)
-		b.Run(name+"/cilk", func(b *testing.B) {
-			st := runCilk(b, bm, 15)
-			b.ReportMetric(speedup15(b, bm, st.WorkNanos, st.SpanNanos), "speedup@15")
-		})
-		b.Run(name+"/tpal-linux", func(b *testing.B) {
-			st := runHB(b, bm, heartbeat.Config{Workers: 1, Mechanism: linuxMech()})
-			b.ReportMetric(speedup15(b, bm, st.WorkNanos, st.SpanNanos), "speedup@15")
-		})
-	}
-}
-
-func speedup15(b *testing.B, bm bench.Benchmark, work, span int64) float64 {
-	t0 := time.Now()
-	bm.RunSerial()
-	serial := time.Since(t0).Seconds()
-	tp := (float64(work)/15 + float64(span)) / 1e9
-	if tp <= 0 {
-		return 0
-	}
-	return serial / tp
-}
-
-// BenchmarkFig8 measures the TPAL binaries with the heartbeat mechanism
-// off: pure instrumentation overhead versus serial (Figure 8).
-func BenchmarkFig8(b *testing.B) {
-	for _, name := range quickSuite {
-		bm := setupBench(b, name)
-		b.Run(name+"/serial", func(b *testing.B) { runSerial(b, bm) })
-		b.Run(name+"/tpal-nobeat", func(b *testing.B) {
-			runHB(b, bm, heartbeat.Config{Workers: 1})
-		})
-	}
-}
-
-func overheadFamily(b *testing.B, mech func() interrupt.Mechanism) {
-	for _, name := range []string{"plus-reduce-array", "spmv-random", "mandelbrot", "mergesort-uniform"} {
-		bm := setupBench(b, name)
-		for _, hb := range []time.Duration{100 * time.Microsecond, 20 * time.Microsecond} {
-			hb := hb
-			b.Run(name+"/int-only-"+hb.String(), func(b *testing.B) {
-				runHB(b, bm, heartbeat.Config{Workers: 1, Heartbeat: hb, Mechanism: mech(), DisablePromotion: true})
-			})
-			b.Run(name+"/int+promo-"+hb.String(), func(b *testing.B) {
-				runHB(b, bm, heartbeat.Config{Workers: 1, Heartbeat: hb, Mechanism: mech()})
-			})
-		}
-	}
-}
-
-// BenchmarkFig9 measures interrupt-only and interrupt-plus-promotion
-// overheads under the Linux signal model (Figure 9).
-func BenchmarkFig9(b *testing.B) { overheadFamily(b, linuxMech) }
-
-// BenchmarkFig13 is Figure 9's experiment under the Nautilus model
-// (Figure 13).
-func BenchmarkFig13(b *testing.B) { overheadFamily(b, nautilusMech) }
-
-// BenchmarkFig10 reports achieved heartbeat delivery rates against the
-// target for both mechanism models (Figure 10).
-func BenchmarkFig10(b *testing.B) {
-	for _, name := range []string{"plus-reduce-array", "mandelbrot", "mergesort-uniform"} {
-		bm := setupBench(b, name)
-		for _, hb := range []time.Duration{100 * time.Microsecond, 20 * time.Microsecond} {
-			hb := hb
-			for _, m := range []struct {
-				label string
-				mk    func() interrupt.Mechanism
-			}{{"linux", linuxMech}, {"nautilus", nautilusMech}} {
-				m := m
-				b.Run(name+"/"+m.label+"-"+hb.String(), func(b *testing.B) {
-					st := runHB(b, bm, heartbeat.Config{Workers: 1, Heartbeat: hb, Mechanism: m.mk()})
-					b.ReportMetric(st.Interrupts.AchievedRate(), "beats/s")
-					b.ReportMetric(1/hb.Seconds(), "target-beats/s")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig11 reports the projected speedup curve across core counts
-// for one representative benchmark per kind (Figure 11).
-func BenchmarkFig11(b *testing.B) {
-	for _, name := range []string{"plus-reduce-array", "mergesort-uniform"} {
-		bm := setupBench(b, name)
-		b.Run(name, func(b *testing.B) {
-			st := runHB(b, bm, heartbeat.Config{Workers: 1, Mechanism: linuxMech()})
-			for _, p := range []int{1, 2, 4, 8, 15} {
-				tp := (float64(st.WorkNanos)/float64(p) + float64(st.SpanNanos)) / 1e9
-				t0 := time.Now()
-				bm.RunSerial()
-				serial := time.Since(t0).Seconds()
-				b.ReportMetric(serial/tp, "speedup@"+itoa(p))
-			}
-		})
-	}
-}
-
-func itoa(n int) string {
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return string(rune('0'+n/10)) + string(rune('0'+n%10))
-}
-
-// BenchmarkFig14 reports projected 15-core speedups for all three
-// systems (Figure 14).
-func BenchmarkFig14(b *testing.B) {
-	for _, name := range []string{"plus-reduce-array", "mandelbrot", "mergesort-uniform"} {
-		bm := setupBench(b, name)
-		b.Run(name+"/cilk", func(b *testing.B) {
-			st := runCilk(b, bm, 15)
-			b.ReportMetric(speedup15(b, bm, st.WorkNanos, st.SpanNanos), "speedup@15")
-		})
-		b.Run(name+"/tpal-linux", func(b *testing.B) {
-			st := runHB(b, bm, heartbeat.Config{Workers: 1, Mechanism: linuxMech()})
-			b.ReportMetric(speedup15(b, bm, st.WorkNanos, st.SpanNanos), "speedup@15")
-		})
-		b.Run(name+"/tpal-nautilus", func(b *testing.B) {
-			st := runHB(b, bm, heartbeat.Config{Workers: 1, Mechanism: nautilusMech()})
-			b.ReportMetric(speedup15(b, bm, st.WorkNanos, st.SpanNanos), "speedup@15")
-		})
-	}
-}
-
-// BenchmarkFig15a reports created-task counts (Figure 15a).
-func BenchmarkFig15a(b *testing.B) {
-	for _, name := range []string{"plus-reduce-array", "spmv-random", "floyd-warshall-1K"} {
-		bm := setupBench(b, name)
-		b.Run(name+"/cilk", func(b *testing.B) {
-			st := runCilk(b, bm, 15)
-			b.ReportMetric(float64(st.Sched.TasksCreated), "tasks")
-		})
-		b.Run(name+"/tpal", func(b *testing.B) {
-			st := runHB(b, bm, heartbeat.Config{Workers: 1, Mechanism: linuxMech()})
-			b.ReportMetric(float64(st.Promotions), "tasks")
-		})
-	}
-}
-
-// BenchmarkFig15b reports projected 15-core utilization (Figure 15b).
-func BenchmarkFig15b(b *testing.B) {
-	for _, name := range []string{"floyd-warshall-1K", "mergesort-uniform"} {
-		bm := setupBench(b, name)
-		b.Run(name+"/cilk", func(b *testing.B) {
-			st := runCilk(b, bm, 15)
-			b.ReportMetric(util15(st.WorkNanos, st.SpanNanos), "utilization@15")
-		})
-		b.Run(name+"/tpal", func(b *testing.B) {
-			st := runHB(b, bm, heartbeat.Config{Workers: 1, Mechanism: linuxMech()})
-			b.ReportMetric(util15(st.WorkNanos, st.SpanNanos), "utilization@15")
-		})
-	}
-}
-
-func util15(work, span int64) float64 {
-	return float64(work) / (float64(work) + 15*float64(span))
-}
-
-// ---- Ablations (DESIGN.md §5) ----
 
 // BenchmarkAblationPollStride varies the promotion-ready poll stride on
 // the finest-grained loop in the suite.
@@ -261,22 +50,10 @@ func BenchmarkAblationPollStride(b *testing.B) {
 	bm := setupBench(b, "plus-reduce-array")
 	for _, stride := range []int{8, 32, 128, 512, 2048} {
 		stride := stride
-		b.Run("stride-"+itoa3(stride), func(b *testing.B) {
+		b.Run("stride-"+strconv.Itoa(stride), func(b *testing.B) {
 			runHB(b, bm, heartbeat.Config{Workers: 1, Mechanism: nautilusMech(), PollStride: stride})
 		})
 	}
-}
-
-func itoa3(n int) string {
-	s := ""
-	for n > 0 {
-		s = string(rune('0'+n%10)) + s
-		n /= 10
-	}
-	if s == "" {
-		s = "0"
-	}
-	return s
 }
 
 // BenchmarkAblationPromotionPolicy compares outer-most-first against
@@ -318,7 +95,7 @@ func BenchmarkAblationCilkGrain(b *testing.B) {
 		grain := grain
 		label := "heuristic"
 		if grain > 0 {
-			label = "grain-" + itoa3(grain)
+			label = "grain-" + strconv.Itoa(grain)
 		}
 		b.Run(label, func(b *testing.B) {
 			var st cilk.Stats
@@ -328,38 +105,6 @@ func BenchmarkAblationCilkGrain(b *testing.B) {
 				})
 			}
 			b.ReportMetric(float64(st.Sched.TasksCreated), "tasks")
-		})
-	}
-}
-
-// BenchmarkMachine measures the abstract machine's interpretation rate
-// on the paper's example programs.
-func BenchmarkMachine(b *testing.B) {
-	progs := []struct {
-		name string
-		run  func() (int64, machine.Stats, error)
-	}{
-		{"prod-serial", func() (int64, machine.Stats, error) { return programs.RunProd(5000, 3, machine.Config{}) }},
-		{"prod-heartbeat", func() (int64, machine.Stats, error) {
-			return programs.RunProd(5000, 3, machine.Config{Heartbeat: 100})
-		}},
-		{"fib-serial", func() (int64, machine.Stats, error) { return programs.RunFib(18, machine.Config{}) }},
-		{"fib-heartbeat", func() (int64, machine.Stats, error) {
-			return programs.RunFib(18, machine.Config{Heartbeat: 100})
-		}},
-	}
-	for _, p := range progs {
-		p := p
-		b.Run(p.name, func(b *testing.B) {
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				_, st, err := p.run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				steps = st.Steps
-			}
-			b.ReportMetric(float64(steps), "steps/run")
 		})
 	}
 }

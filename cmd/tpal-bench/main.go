@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,25 +23,35 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole tool behind a testable seam: tables go to stdout,
+// failures to stderr, and the return value is the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tpal-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp    = flag.String("exp", "all", "experiment id(s), comma separated, or 'all'")
-		scale  = flag.Float64("scale", 1.0, "input scale multiplier (1.0 = scaled-down defaults)")
-		reps   = flag.Int("reps", 3, "repetitions per measurement (minimum kept)")
-		cores  = flag.Int("cores", 15, "simulated machine size for at-scale figures")
-		benchs = flag.String("bench", "", "comma-separated benchmark subset (default: all)")
-		list   = flag.Bool("list", false, "list experiments and exit")
+		exp    = fs.String("exp", "all", "experiment id(s), comma separated, or 'all'")
+		scale  = fs.Float64("scale", 1.0, "input scale multiplier (1.0 = scaled-down defaults)")
+		reps   = fs.Int("reps", 3, "repetitions per measurement (median run kept)")
+		cores  = fs.Int("cores", 15, "simulated machine size for at-scale figures")
+		benchs = fs.String("bench", "", "comma-separated benchmark subset (default: all)")
+		list   = fs.Bool("list", false, "list experiments and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, e := range harness.Experiments() {
-			fmt.Printf("%-9s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-9s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
 	opt := harness.Options{
-		Out:   os.Stdout,
+		Out:   stdout,
 		Scale: *scale,
 		Reps:  *reps,
 		Cores: *cores,
@@ -48,7 +59,11 @@ func main() {
 	if *benchs != "" {
 		opt.Benchmarks = strings.Split(*benchs, ",")
 	}
-	session := harness.NewSession(opt)
+	session, err := harness.NewSession(opt)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	var selected []harness.Experiment
 	if *exp == "all" {
@@ -57,15 +72,16 @@ func main() {
 		for _, id := range strings.Split(*exp, ",") {
 			e, err := harness.ByID(strings.TrimSpace(id))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			selected = append(selected, e)
 		}
 	}
 
 	for _, e := range selected {
-		fmt.Printf("== %s: %s ==\n\n", e.ID, e.Title)
+		fmt.Fprintf(stdout, "== %s: %s ==\n\n", e.ID, e.Title)
 		e.Run(session)
 	}
+	return 0
 }

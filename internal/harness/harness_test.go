@@ -7,19 +7,24 @@ import (
 )
 
 // tinySession runs quickly enough for unit tests.
-func tinySession(buf *strings.Builder) *Session {
-	return NewSession(Options{
+func tinySession(t *testing.T, buf *strings.Builder) *Session {
+	t.Helper()
+	s, err := NewSession(Options{
 		Out:        buf,
 		Scale:      0.05,
 		Reps:       1,
 		Cores:      15,
 		Benchmarks: []string{"plus-reduce-array", "mergesort-uniform"},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestAllExperimentsProduceOutput(t *testing.T) {
 	var buf strings.Builder
-	s := tinySession(&buf)
+	s := tinySession(t, &buf)
 	for _, e := range Experiments() {
 		before := buf.Len()
 		e.Run(s)
@@ -65,7 +70,7 @@ func TestExperimentIDsUnique(t *testing.T) {
 
 func TestSessionMemoization(t *testing.T) {
 	var buf strings.Builder
-	s := tinySession(&buf)
+	s := tinySession(t, &buf)
 	b := s.Benchmarks()[0]
 	first := s.Cilk(b)
 	second := s.Cilk(b)
@@ -87,7 +92,7 @@ func TestSessionMemoization(t *testing.T) {
 
 func TestSerialPositive(t *testing.T) {
 	var buf strings.Builder
-	s := tinySession(&buf)
+	s := tinySession(t, &buf)
 	for _, b := range s.Benchmarks() {
 		if d := s.Serial(b); d <= 0 {
 			t.Errorf("%s: serial time %v", b.Name(), d)

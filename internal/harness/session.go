@@ -76,8 +76,8 @@ type hbKey struct {
 }
 
 // NewSession prepares benchmarks (running Setup and the serial reference
-// lazily).
-func NewSession(opt Options) *Session {
+// lazily). It fails when Options.Benchmarks names an unknown benchmark.
+func NewSession(opt Options) (*Session, error) {
 	opt = opt.withDefaults()
 	s := &Session{
 		opt:           opt,
@@ -91,12 +91,12 @@ func NewSession(opt Options) *Session {
 		for _, name := range opt.Benchmarks {
 			b, err := bench.ByName(name)
 			if err != nil {
-				panic(err)
+				return nil, err
 			}
 			s.benchs = append(s.benchs, b)
 		}
 	}
-	return s
+	return s, nil
 }
 
 // Benchmarks returns the session's benchmark set.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tpal/internal/interrupt"
+	"tpal/internal/trace"
 )
 
 // fastBeat is an aggressive test mechanism: a virtual clock with no
@@ -235,5 +236,39 @@ func TestOuterFirstPromotesOuterLoop(t *testing.T) {
 	})
 	if len(workersSeen) < 2 {
 		t.Skipf("only %d workers participated (machine too loaded?)", len(workersSeen))
+	}
+}
+
+// TestTracedLoopRecordsPerPromotionNotPerIteration is the structural
+// half of the tracer overhead contract (DESIGN.md §11): a traced
+// fine-grained loop records events per promotion, which ♥ amortizes,
+// and none per iteration or poll. Under the deterministic counting
+// mechanism a promotion costs four events (a timer mechanism adds a
+// raise and a penalty); the ceiling of eight leaves headroom for new
+// event kinds but not for an O(iterations) one.
+func TestTracedLoopRecordsPerPromotionNotPerIteration(t *testing.T) {
+	const n = 1 << 20
+	tr := trace.New(1, 0)
+	var sum int64
+	st := Run(Config{Workers: 1, Mechanism: interrupt.NewCountingPoll(64), Tracer: tr}, func(c *Ctx) {
+		c.For(0, n, func(i int) { sum += int64(i) })
+	})
+	if want := int64(n) * (n - 1) / 2; sum != want {
+		t.Fatalf("sum = %d, want %d", sum, want)
+	}
+	if st.Promotions < 50 {
+		t.Fatalf("only %d promotions: the loop is not exercising the promotion path", st.Promotions)
+	}
+	d := tr.Drain()
+	var events int64
+	for _, c := range d.Counts {
+		events += c
+	}
+	if limit := 8*st.Promotions + 16; events > limit {
+		t.Errorf("%d events for %d promotions over %d iterations, ceiling %d: %v",
+			events, st.Promotions, n, limit, d.CountMap())
+	}
+	if d.Dropped != 0 {
+		t.Errorf("%d events dropped from the default-capacity ring", d.Dropped)
 	}
 }

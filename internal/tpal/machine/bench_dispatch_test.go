@@ -4,14 +4,27 @@ import (
 	"fmt"
 	"testing"
 
+	"tpal/internal/minipar"
 	"tpal/internal/tpal"
 	"tpal/internal/tpal/machine"
 	"tpal/internal/tpal/machine/compile"
 	"tpal/internal/tpal/programs"
 )
 
+// plusReduceMP is the finest-grained kernel as a minipar reduction
+// loop: one addition per iteration through the parfor promotion
+// machinery, so dispatch is nearly all there is to measure.
+const plusReduceMP = `params n
+var total = 0
+parfor i in 0 .. n reduce(total, +) {
+    total = total + i
+}
+return total
+`
+
 // BenchmarkDispatch measures per-instruction dispatch cost on both
-// backends across the corpus, in several machine configurations:
+// backends across the corpus and the plus-reduce kernel, in several
+// machine configurations:
 //
 //	serial     — no heartbeat, single task, pure dispatch loop
 //	heartbeat  — hb=30, promotion checks and forks on the hot path
@@ -26,6 +39,14 @@ import (
 // transition) so the interp/compiled columns are directly comparable.
 // Both columns run the same engine; the difference is dispatch alone.
 func BenchmarkDispatch(b *testing.B) {
+	mp, err := minipar.Parse(plusReduceMP)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plusReduce, err := minipar.Compile(mp)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		prog *tpal.Program
@@ -34,6 +55,7 @@ func BenchmarkDispatch(b *testing.B) {
 		{"prod", programs.Prod(), machine.RegFile{"a": machine.IntV(200), "b": machine.IntV(3)}},
 		{"pow", programs.Pow(), machine.RegFile{"d": machine.IntV(1), "e": machine.IntV(200)}},
 		{"fib", programs.Fib(), machine.RegFile{"n": machine.IntV(15)}},
+		{"plus-reduce", plusReduce, machine.RegFile{"n": machine.IntV(60_000)}},
 	}
 	modes := []struct {
 		name string

@@ -17,9 +17,23 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.Record(0, EvTaskStart, 1, 2)
 	tr.RecordExternal(EvBeatRaise, 0, 0)
 	_ = tr.Now()
+	if n := testing.AllocsPerRun(1000, func() { tr.Record(0, EvTaskStart, 1, 2) }); n != 0 {
+		t.Fatalf("Record on a nil tracer allocates %v per call", n)
+	}
 	d := tr.Drain()
 	if len(d.Events) != 0 || d.Dropped != 0 {
 		t.Fatalf("nil drain: %d events, %d dropped", len(d.Events), d.Dropped)
+	}
+}
+
+// TestRecordDoesNotAllocate is the other structural half of the
+// overhead contract (DESIGN.md §11): an enabled tracer's Record writes
+// into its preallocated ring, wrapping included, without touching the
+// heap.
+func TestRecordDoesNotAllocate(t *testing.T) {
+	tr := New(1, 64)
+	if n := testing.AllocsPerRun(1000, func() { tr.Record(0, EvPromotion, 1, 2) }); n != 0 {
+		t.Fatalf("Record on a live tracer allocates %v per call", n)
 	}
 }
 

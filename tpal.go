@@ -42,7 +42,10 @@
 //
 // cmd/tpal-bench regenerates every figure of the paper's evaluation;
 // see DESIGN.md for the experiment index and EXPERIMENTS.md for
-// measured-versus-paper shapes.
+// measured-versus-paper shapes. How fast the system itself is, layer
+// by layer, is the front-door benchmark's job (bash benchmark/run.sh,
+// BENCHMARK.json); go test -bench keeps only the micro-benchmarks and
+// design ablations that neither of those measures.
 package tpal
 
 import (
