@@ -15,10 +15,11 @@ race:
 	$(GO) test -race ./...
 
 # race-test runs Go's own race detector over the concurrent runtime
-# packages (the schedulers and the work-stealing deque are the only
-# code with real shared-memory concurrency).
+# packages: the schedulers, the work-stealing deque and its park/wake,
+# and the interrupt mechanisms (the thread timer and the heartbeat
+# mailbox it raises are cross-goroutine code).
 race-test:
-	$(GO) test -race ./internal/sched ./internal/heartbeat ./internal/cilk
+	$(GO) test -race ./internal/sched ./internal/heartbeat ./internal/cilk ./internal/interrupt
 
 # serve-test runs the job-execution service and daemon suites under
 # the race detector: admission gating (analyze-once, no head-of-line

@@ -183,8 +183,7 @@ func (c *Ctx) Spawn2(a, b func(*Ctx)) {
 	task := &spawnTask{fn: b, rt: c.rt, base: c.SpanNow()}
 	task.j.pending.Store(1)
 	task.box.Bind(task)
-	c.w.Pool().CountTaskCreated()
-	c.w.Deque().PushBottomBox(&task.box)
+	c.w.Spawn(&task.box)
 
 	a(c)
 

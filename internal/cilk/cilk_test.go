@@ -155,12 +155,26 @@ func TestTaskCountsFollowGrain(t *testing.T) {
 func TestWorkSpanProjection(t *testing.T) {
 	// The span of a balanced spawn tree must be far below its work even
 	// on a single worker (inline execution must fork the logical
-	// timeline).
-	st := Run(Config{Workers: 1, Grain: 512}, func(c *Ctx) {
-		c.For(0, 1_000_000, func(i int) {
-			_ = i * i
+	// timeline). Work and span are sums of wall-clock stamps, so the
+	// tree is built for the stamps to mean something: 128 leaves of a
+	// counted ~0.4 ms each, against which a clock read is noise, make
+	// ~50 ms of work over a span of one leaf and seven spawns. Span·4
+	// exceeds work only if one leaf is stalled for longer than a quarter
+	// of the whole run.
+	const leaves = 128
+	var sink atomic.Uint64
+	st := Run(Config{Workers: 1, Grain: 1}, func(c *Ctx) {
+		c.For(0, leaves, func(i int) {
+			x := uint64(i)
+			for k := 0; k < 300_000; k++ {
+				x = x*6364136223846793005 + 1442695040888963407
+			}
+			sink.Add(x)
 		})
 	})
+	if got := st.Sched.TasksCreated; got != leaves-1 {
+		t.Fatalf("%d leaves took %d spawns, want %d", leaves, got, leaves-1)
+	}
 	if st.WorkNanos <= 0 || st.SpanNanos <= 0 {
 		t.Fatalf("work=%d span=%d", st.WorkNanos, st.SpanNanos)
 	}

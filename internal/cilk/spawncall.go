@@ -16,8 +16,7 @@ func Spawn2Call[A any](c *Ctx, f func(*Ctx, A), aArg, bArg A) {
 	task := &spawnCallTask[A]{f: f, arg: bArg, rt: c.rt, base: c.SpanNow()}
 	task.j.pending.Store(1)
 	task.box.Bind(task)
-	c.w.Pool().CountTaskCreated()
-	c.w.Deque().PushBottomBox(&task.box)
+	c.w.Spawn(&task.box)
 
 	f(c, aArg)
 

@@ -67,7 +67,7 @@ type accState[T any] struct {
 	spanMax  atomic.Int64
 }
 
-func (as *accState[T]) promote(c *Ctx) bool {
+func (as *accState[T]) promote(c *Ctx, _ int) bool {
 	remaining := as.stop - as.next
 	if remaining < 2 {
 		return false
@@ -85,7 +85,7 @@ func (as *accState[T]) promote(c *Ctx) bool {
 	as.children = append(as.children, t)
 	as.pending.Add(1)
 	t.box.Bind(t)
-	c.spawnBox(&t.box)
+	c.w.Spawn(&t.box)
 	return true
 }
 
@@ -107,8 +107,8 @@ type accTask[T any] struct {
 
 // Run implements sched.Task.
 func (t *accTask[T]) Run(w *sched.Worker) {
-	cc := newChildCtx(w, t.rt, t.base, t.recID)
+	cc := newCtx(w, t.rt, t.base, t.recID)
 	t.value = Accumulate(cc, t.lo, t.hi, t.newAcc, t.merge, t.leaf)
-	maxInto(t.spanMax, cc.finish())
+	maxInto(t.spanMax, cc.retire())
 	t.pending.Add(-1)
 }

@@ -36,10 +36,8 @@ func measurePromotionAllocs(t *testing.T, setup func(c *Ctx) (reset func())) flo
 func TestPromotionIsSingleAllocation(t *testing.T) {
 	t.Run("Fork2", func(t *testing.T) {
 		allocs := measurePromotionAllocs(t, func(c *Ctx) func() {
-			m := c.getCallMark()
-			m.fn = func(*Ctx) {}
-			c.pushMark(m)
-			return func() { m.state = callLatent; m.join = nil }
+			fr := pushLatentFrame(c, callClosure, func(*Ctx) {})
+			return func() { fr.join = nil }
 		})
 		if allocs != 1 {
 			t.Fatalf("Fork2 promotion allocs/op = %v, want exactly 1", allocs)
@@ -48,10 +46,8 @@ func TestPromotionIsSingleAllocation(t *testing.T) {
 
 	t.Run("Fork2Call", func(t *testing.T) {
 		allocs := measurePromotionAllocs(t, func(c *Ctx) func() {
-			m := getCallT[int](c)
-			m.f = func(*Ctx, int) {}
-			c.pushMark(m)
-			return func() { m.state = callLatent; m.join = nil }
+			fr := pushLatentFrame(c, func(*Ctx, int) {}, 0)
+			return func() { fr.join = nil }
 		})
 		if allocs != 1 {
 			t.Fatalf("Fork2Call promotion allocs/op = %v, want exactly 1", allocs)
@@ -63,10 +59,9 @@ func TestPromotionIsSingleAllocation(t *testing.T) {
 	// loopTask allocation alone.
 	t.Run("For", func(t *testing.T) {
 		allocs := measurePromotionAllocs(t, func(c *Ctx) func() {
-			ls := c.getLoopState()
-			ls.flat = func(int) {}
-			ls.join = &join{}
-			c.pushMark(ls)
+			c.loops = append(c.loops, loopState{flat: func(int) {}, join: &join{}})
+			c.marks = append(c.marks, markRef{lo: 0})
+			ls := &c.loops[0]
 			return func() { ls.next, ls.stop = 0, 1024 }
 		})
 		if allocs != 1 {
@@ -75,19 +70,25 @@ func TestPromotionIsSingleAllocation(t *testing.T) {
 	})
 }
 
+// pushLatentFrame leaves f(·, arg) latent on c, as Fork2Call does while
+// its first branch runs, and returns the frame.
+func pushLatentFrame[A any](c *Ctx, f func(*Ctx, A), arg A) *callFrame[A] {
+	s := callStackOf[A](c)
+	s.openRun(c)
+	s.frames = append(s.frames, callFrame[A]{f: f, arg: arg})
+	return &s.frames[len(s.frames)-1]
+}
+
 // BenchmarkPromotion reports promotion cost with allocation counts
 // (run with -benchmem to see allocs/op = 1).
 func BenchmarkPromotion(b *testing.B) {
 	rt := New(Config{Workers: 1})
 	rt.Run(func(c *Ctx) {
-		m := c.getCallMark()
-		m.fn = func(*Ctx) {}
-		c.pushMark(m)
+		fr := pushLatentFrame(c, callClosure, func(*Ctx) {})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.state = callLatent
-			m.join = nil
+			fr.join = nil
 			c.promoteOne()
 			c.w.Deque().PopBottom()
 		}

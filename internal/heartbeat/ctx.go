@@ -15,10 +15,21 @@ import (
 // latent parallelism, ordered oldest first, touched only by the owning
 // goroutine (promotion happens synchronously inside poll, exactly as
 // TPAL's handler runs in the interrupted task).
+//
+// Latent parallelism lives by value in stacks the context owns — loops
+// in progress in loops, the unstarted branches of forks in one
+// callStack per argument type — and marks orders it: like TPAL's marks,
+// which are stack cells, recording a loop or a fork allocates nothing,
+// and promoted tasks capture only their separately allocated join,
+// never a stack slot.
 type Ctx struct {
-	w     *sched.Worker
-	rt    *RT
-	marks []mark
+	w  *sched.Worker
+	rt *RT
+
+	marks     []markRef
+	loops     []loopState
+	stacks    []frameStack // every callStack this context has used
+	lastStack frameStack   // the one used last: Fork2Call's first guess
 
 	// Critical-path (span) tracking for the at-scale performance model:
 	// a task's span is its creation point's span plus its self time
@@ -31,50 +42,53 @@ type Ctx struct {
 	helped int64 // wall time spent inside join waits (helping or idle)
 	floor  int64 // span floor raised by joined children
 	recID  int   // task id in the vtime recorder, when recording
-
-	// Free lists for mark objects, so the serial path of loops and
-	// forks allocates nothing after warm-up. Safe because marks are
-	// strictly goroutine-local: promoted tasks capture only the
-	// separately allocated join object, never the mark itself.
-	loopPool    []*loopState
-	callPool    []*callMark
-	callAnyPool []any // pooled *callMarkT[A] instances (see forkcall.go)
 }
 
-func (c *Ctx) getLoopState() *loopState {
-	if n := len(c.loopPool); n > 0 {
-		ls := c.loopPool[n-1]
-		c.loopPool = c.loopPool[:n-1]
-		return ls
+// ctxFreeList is a worker's free list of task contexts, kept in
+// sched.Worker.Scratch. A list, not a slot: helping inside a join runs
+// a task inside a task, so several contexts are live on one worker.
+type ctxFreeList struct {
+	free []*Ctx
+}
+
+// newCtx returns a context for a task starting now on w, reusing a
+// retired one — with its mark list and stacks already grown — when the
+// worker has one, so a steady-state promoted task allocates nothing
+// beyond its task struct.
+func newCtx(w *sched.Worker, rt *RT, base int64, recID int) *Ctx {
+	fl, _ := w.Scratch.(*ctxFreeList)
+	if fl == nil {
+		fl = &ctxFreeList{}
+		w.Scratch = fl
 	}
-	return &loopState{}
-}
-
-func (c *Ctx) putLoopState(ls *loopState) {
-	*ls = loopState{}
-	c.loopPool = append(c.loopPool, ls)
-}
-
-func (c *Ctx) getCallMark() *callMark {
-	if n := len(c.callPool); n > 0 {
-		m := c.callPool[n-1]
-		c.callPool = c.callPool[:n-1]
-		return m
+	var c *Ctx
+	if n := len(fl.free); n > 0 {
+		c = fl.free[n-1]
+		fl.free = fl.free[:n-1]
+	} else {
+		c = &Ctx{}
 	}
-	return &callMark{}
+	c.w, c.rt, c.start, c.base, c.recID = w, rt, time.Now(), base, recID
+	c.helped, c.floor = 0, 0
+	return c
 }
 
-func (c *Ctx) putCallMark(m *callMark) {
-	*m = callMark{}
-	c.callPool = append(c.callPool, m)
-}
-
-func newCtx(w *sched.Worker, rt *RT) *Ctx {
-	return &Ctx{w: w, rt: rt, start: time.Now()}
-}
-
-func newChildCtx(w *sched.Worker, rt *RT, base int64, recID int) *Ctx {
-	return &Ctx{w: w, rt: rt, start: time.Now(), base: base, recID: recID}
+// retire finishes the task (see finish) and returns its context to the
+// worker's free list. The task's function has returned, so its marks
+// are all popped; what the stacks still hold past their lengths is the
+// arguments of forks long finished, dropped here so that a parked
+// context retains none of a finished task's data.
+func (c *Ctx) retire() int64 {
+	span := c.finish()
+	if len(c.marks) != 0 {
+		c.corrupted("task finished")
+	}
+	for _, s := range c.stacks {
+		s.reset()
+	}
+	fl := c.w.Scratch.(*ctxFreeList)
+	fl.free = append(fl.free, c)
+	return span
 }
 
 // recordSpawn registers a promotion with the vtime recorder (if any)
@@ -140,76 +154,100 @@ func maxInto(a *atomic.Int64, v int64) {
 // Worker returns the worker currently executing this context.
 func (c *Ctx) Worker() *sched.Worker { return c.w }
 
-// mark is one entry of the promotion-ready mark list.
+// mark is latent parallelism a mark-list entry can refer to through an
+// interface: a callStack or a reduction in progress.
 type mark interface {
-	// promote manifests the mark's latent parallelism as a task if
-	// possible, returning whether a task was created.
-	promote(c *Ctx) bool
+	// promote manifests latent parallelism of the mark-list entry at as
+	// a task if possible, returning whether a task was created.
+	promote(c *Ctx, at int) bool
+}
+
+// markRef is one entry of the promotion-ready mark list. With m nil it
+// stands for the loop c.loops[lo]. With m a callStack it stands for a
+// run of that stack's frames — forks nested directly inside one another
+// with no other mark between them — so a recursion enters the mark list
+// once, not once per call: the run starts at frame lo and extends to
+// hi, or to the top of the stack while it is the stack's newest run (hi
+// is written when a younger run opens). prev is the stack's top before
+// the run opened, restored when it closes. Any other m (a reduction)
+// uses no further field.
+type markRef struct {
+	m            mark
+	lo, hi, prev int
 }
 
 func (c *Ctx) pushMark(m mark) {
-	c.marks = append(c.marks, m)
+	c.marks = append(c.marks, markRef{m: m})
 }
 
 func (c *Ctx) popMark(m mark) {
-	n := len(c.marks)
-	if n == 0 || c.marks[n-1] != m {
-		panic(fmt.Sprintf("heartbeat: mark list corrupted: popping %T, top is %v", m, c.marks))
+	n := len(c.marks) - 1
+	if n < 0 || c.marks[n].m != m {
+		c.corrupted(fmt.Sprintf("popping %T", m))
 	}
-	c.marks[n-1] = nil
-	c.marks = c.marks[:n-1]
+	c.marks[n] = markRef{}
+	c.marks = c.marks[:n]
+}
+
+// corrupted reports a mark that is not where its owner left it: marks
+// are pushed and popped in strict stack order by the combinators, so
+// this is a bug in one of them (or a Ctx used from two goroutines).
+func (c *Ctx) corrupted(doing string) {
+	panic(fmt.Sprintf("heartbeat: mark list corrupted: %s, list is %v", doing, c.marks))
 }
 
 // Poll is the promotion-ready program point — the runtime analogue of
-// arriving at a TPAL prppt block head. It checks the worker's
-// heartbeat flag (one atomic load on the fast path) and, when a beat is
-// pending, services it — paying the simulated handler cost and
-// promoting the oldest promotable latent parallelism.
+// arriving at a TPAL prppt block head. Its fast path, inlined at every
+// poll site, counts off a poll the beat source asked the worker to skip
+// (a decrement and a branch). Otherwise it consults the worker's beat
+// source or flag out of line and, when a beat is pending, services it —
+// paying the simulated handler cost and promoting the oldest promotable
+// latent parallelism.
 //
 // Every combinator in this package upholds the promotion-latency
 // contract: between consecutive Poll calls a task executes at most one
 // poll stride of loop iterations (forks poll on every call), so no
 // code path can run unboundedly long without offering the scheduler a
-// promotion. The static liveness pass proves the same property for
-// TPAL programs at lint time (TP050 flags the violations).
+// promotion, and a delivered beat is observed within one poll stride of
+// work plus at most the adaptive skip, which is bounded by ~8 µs of
+// polling (internal/interrupt/virtual.go). The static liveness pass
+// proves the same property for TPAL programs at lint time (TP050 flags
+// the violations).
 func (c *Ctx) Poll() {
-	if !c.w.PollHeartbeat() {
-		return
+	if !c.w.SkipPoll() {
+		c.pollSlow()
 	}
-	if c.rt.cfg.DisablePromotion {
-		return
+}
+
+// pollSlow is Poll with no skip left to count off (PollHeartbeat looks
+// again and finds none): the beat source or flag decides.
+func (c *Ctx) pollSlow() {
+	if c.w.PollHeartbeat() && !c.rt.cfg.DisablePromotion {
+		c.promoteOne()
 	}
-	c.promoteOne()
 }
 
 // promoteOne applies the promotion policy over the mark list and
 // performs at most one promotion, as one heartbeat manifests one task.
 func (c *Ctx) promoteOne() bool {
-	if c.rt.cfg.Policy == InnerFirst {
-		for i := len(c.marks) - 1; i >= 0; i-- {
-			if c.marks[i].promote(c) {
-				c.w.Trace(trace.EvPromotion, int64(InnerFirst), int64(i))
-				return true
-			}
+	policy := c.rt.cfg.Policy
+	for k := range c.marks {
+		at := k
+		if policy == InnerFirst {
+			at = len(c.marks) - 1 - k
 		}
-		return false
-	}
-	for i := 0; i < len(c.marks); i++ {
-		if c.marks[i].promote(c) {
-			c.w.Trace(trace.EvPromotion, int64(OuterFirst), int64(i))
+		var ok bool
+		if ref := &c.marks[at]; ref.m == nil {
+			ok = c.loops[ref.lo].promote(c)
+		} else {
+			ok = ref.m.promote(c, at)
+		}
+		if ok {
+			c.w.Trace(trace.EvPromotion, int64(policy), int64(at))
 			return true
 		}
 	}
 	return false
-}
-
-// spawnBox pushes a promoted task's embedded box onto the current
-// worker's deque, where idle workers can steal it, and counts it. Every
-// promotion path allocates one task struct with an embedded sched.Box
-// and spawns through here, so a promotion is exactly one allocation.
-func (c *Ctx) spawnBox(b *sched.Box) {
-	c.w.Pool().CountTaskCreated()
-	c.w.Deque().PushBottomBox(b)
 }
 
 // join is a completion counter for promoted tasks, carrying the maximum
@@ -217,6 +255,13 @@ func (c *Ctx) spawnBox(b *sched.Box) {
 type join struct {
 	pending atomic.Int64
 	spanMax atomic.Int64
+}
+
+// wait joins the promoted tasks counted in j: the task helps with other
+// work until they are done, then folds their span into its own.
+func (c *Ctx) wait(j *join) {
+	c.waitJoin(&j.pending)
+	c.raiseFloor(j.spanMax.Load())
 }
 
 // Fork2 executes a and b with fork-join semantics, serially by default:
@@ -227,75 +272,10 @@ type join struct {
 //
 // This is the runtime analogue of the paper's parallel calling
 // convention (§B.2): the mark stands for the unstarted branch, and the
-// promotion handler turns the oldest such mark into a child task.
+// promotion handler turns the oldest such mark into a child task. It is
+// Fork2Call with the closures as the arguments.
 func (c *Ctx) Fork2(a, b func(*Ctx)) {
-	// A fork is a promotion-ready program point, like the loop heads of
-	// the paper's fib: recursive code with no loops still observes
-	// heartbeats at every call.
-	c.Poll()
-	m := c.getCallMark()
-	m.fn = b
-	c.pushMark(m)
-	a(c)
-	c.popMark(m)
-	if m.state == callLatent {
-		c.putCallMark(m)
-		b(c)
-		return
-	}
-	// Promoted: wait for the child (helping with other work meanwhile).
-	j := m.join
-	c.putCallMark(m)
-	c.waitJoin(&j.pending)
-	c.raiseFloor(j.spanMax.Load())
+	Fork2Call(c, callClosure, a, b)
 }
 
-// callMark is the latent second branch of a Fork2. The join is allocated
-// only at promotion, so the serial path pays nothing for it.
-type callMark struct {
-	fn    func(*Ctx)
-	state callState
-	join  *join
-}
-
-type callState uint8
-
-const (
-	callLatent callState = iota
-	callPromoted
-	callInlined
-)
-
-func (m *callMark) promote(c *Ctx) bool {
-	if m.state != callLatent {
-		return false
-	}
-	m.state = callPromoted
-	t := &forkTask{fn: m.fn, rt: c.rt, base: c.SpanNow(), recID: c.recordSpawn()}
-	t.j.pending.Store(1)
-	m.join = &t.j
-	t.box.Bind(t)
-	c.spawnBox(&t.box)
-	return true
-}
-
-// forkTask is a promoted Fork2 branch: the deque box, the join, and the
-// captured state in one allocation. The join outlives the task (the
-// parent waits on it through the mark's join pointer), which is fine:
-// the whole struct stays reachable until both sides are done.
-type forkTask struct {
-	box   sched.Box
-	j     join
-	fn    func(*Ctx)
-	rt    *RT
-	base  int64
-	recID int
-}
-
-// Run implements sched.Task.
-func (t *forkTask) Run(w *sched.Worker) {
-	cc := newChildCtx(w, t.rt, t.base, t.recID)
-	t.fn(cc)
-	maxInto(&t.j.spanMax, cc.finish())
-	t.j.pending.Add(-1)
-}
+func callClosure(c *Ctx, fn func(*Ctx)) { fn(c) }

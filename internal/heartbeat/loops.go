@@ -28,14 +28,8 @@ func (c *Ctx) For(lo, hi int, body func(i int)) {
 		c.Poll()
 		return
 	}
-	ls := c.getLoopState()
-	ls.next, ls.stop, ls.flat = lo, hi, body
-	c.runLoop(ls)
-	j := ls.join
-	c.putLoopState(ls)
-	if j != nil {
-		c.waitJoin(&j.pending)
-		c.raiseFloor(j.spanMax.Load())
+	if j := c.runLoop(loopState{next: lo, stop: hi, flat: body}); j != nil {
+		c.wait(j)
 	}
 }
 
@@ -65,14 +59,8 @@ func (c *Ctx) ForNested(lo, hi int, body func(cc *Ctx, i int)) {
 		}
 		return
 	}
-	ls := c.getLoopState()
-	ls.next, ls.stop, ls.body = lo, hi, body
-	c.runLoop(ls)
-	j := ls.join
-	c.putLoopState(ls)
-	if j != nil {
-		c.waitJoin(&j.pending)
-		c.raiseFloor(j.spanMax.Load())
+	if j := c.runLoop(loopState{next: lo, stop: hi, body: body}); j != nil {
+		c.wait(j)
 	}
 }
 
@@ -96,13 +84,18 @@ type loopState struct {
 	join       *join // lazily allocated at first promotion; shared by the whole loop tree
 }
 
-// runLoop executes ls's iterations with stride polling, registering ls
-// in the mark list for the duration.
-func (c *Ctx) runLoop(ls *loopState) {
-	c.pushMark(ls)
-	stride := c.rt.cfg.PollStride
-	if ls.flat != nil {
-		flat := ls.flat
+// runLoop executes l's iterations with stride polling. For the duration
+// the loop lives by value on the context's loop stack, registered in
+// the mark list; runLoop returns its join, nil unless a heartbeat
+// promoted part of it.
+func (c *Ctx) runLoop(l loopState) *join {
+	k := len(c.loops)
+	c.loops = append(c.loops, l)
+	c.marks = append(c.marks, markRef{lo: k})
+	if flat := l.flat; flat != nil {
+		// Nothing a flat body or a promotion does pushes a loop, so the
+		// slot cannot move under this pointer.
+		ls, stride := &c.loops[k], c.rt.cfg.PollStride
 		for ls.next < ls.stop {
 			end := ls.next + stride
 			if end > ls.stop {
@@ -115,15 +108,29 @@ func (c *Ctx) runLoop(ls *loopState) {
 			c.Poll()
 		}
 	} else {
-		body := ls.body
-		for ls.next < ls.stop {
+		body := l.body
+		for {
+			// A loop nested in the body may have grown the stack: find
+			// the slot again every iteration.
+			ls := &c.loops[k]
 			i := ls.next
+			if i >= ls.stop {
+				break
+			}
 			ls.next = i + 1
 			body(c, i)
 			c.Poll()
 		}
 	}
-	c.popMark(ls)
+	n := len(c.marks) - 1
+	if n < 0 || len(c.loops) != k+1 || c.marks[n] != (markRef{lo: k}) {
+		c.corrupted("ending a loop")
+	}
+	j := c.loops[k].join
+	c.loops[k] = loopState{}
+	c.loops = c.loops[:k]
+	c.marks = c.marks[:n]
+	return j
 }
 
 func (ls *loopState) promote(c *Ctx) bool {
@@ -146,7 +153,7 @@ func (ls *loopState) promote(c *Ctx) bool {
 		rt: c.rt, base: c.SpanNow(), recID: c.recordSpawn(),
 	}
 	t.box.Bind(t)
-	c.spawnBox(&t.box)
+	c.w.Spawn(&t.box)
 	return true
 }
 
@@ -167,12 +174,9 @@ type loopTask struct {
 
 // Run implements sched.Task.
 func (t *loopTask) Run(w *sched.Worker) {
-	cc := newChildCtx(w, t.rt, t.base, t.recID)
-	child := cc.getLoopState()
-	child.next, child.stop, child.flat, child.body, child.join = t.next, t.stop, t.flat, t.body, t.j
-	cc.runLoop(child)
-	cc.putLoopState(child)
-	maxInto(&t.j.spanMax, cc.finish())
+	cc := newCtx(w, t.rt, t.base, t.recID)
+	cc.runLoop(loopState{next: t.next, stop: t.stop, flat: t.flat, body: t.body, join: t.j})
+	maxInto(&t.j.spanMax, cc.retire())
 	t.j.pending.Add(-1)
 }
 
@@ -242,9 +246,9 @@ type reduceTask[T any] struct {
 
 // Run implements sched.Task.
 func (t *reduceTask[T]) Run(w *sched.Worker) {
-	cc := newChildCtx(w, t.rt, t.base, t.recID)
+	cc := newCtx(w, t.rt, t.base, t.recID)
 	t.value = Reduce(cc, t.lo, t.hi, t.combine, t.leaf)
-	maxInto(t.spanMax, cc.finish())
+	maxInto(t.spanMax, cc.retire())
 	t.pending.Add(-1)
 }
 
@@ -269,7 +273,7 @@ func runReduce[T any](c *Ctx, rs *reduceState[T]) {
 	c.popMark(rs)
 }
 
-func (rs *reduceState[T]) promote(c *Ctx) bool {
+func (rs *reduceState[T]) promote(c *Ctx, _ int) bool {
 	remaining := rs.stop - rs.next
 	if remaining < 2 {
 		return false
@@ -287,6 +291,6 @@ func (rs *reduceState[T]) promote(c *Ctx) bool {
 	rs.children = append(rs.children, t)
 	rs.pending.Add(1)
 	t.box.Bind(t)
-	c.spawnBox(&t.box)
+	c.w.Spawn(&t.box)
 	return true
 }

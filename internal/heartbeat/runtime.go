@@ -51,18 +51,22 @@ type Config struct {
 	// heartbeat turned off).
 	Mechanism interrupt.Mechanism
 	// PollStride is the number of loop iterations between polls of the
-	// heartbeat flag inside For/Reduce. It sets the runtime's
-	// promotion-latency contract: every loop and fork combinator
-	// checks the flag at least once per stride of iterations (forks
-	// poll at every call), so a delivered heartbeat is serviced within
-	// one stride of work plus one loop body — the dynamic counterpart
-	// of the bound the static liveness pass (internal/tpal/analysis,
-	// DESIGN.md §8) proves for TPAL programs, where every CFG cycle
-	// must cross a promotion-ready program point within a known number
-	// of instructions. Zero selects 128, which keeps poll costs below
-	// a few percent even for single-instruction loop bodies while
-	// holding that latency far below ♥ for any realistic stride.
-	// Ranges no longer than one stride run with no loop state at all.
+	// heartbeat inside For/Reduce. It sets the runtime's
+	// promotion-latency contract: every loop and fork combinator polls
+	// at least once per stride of iterations (forks poll at every
+	// call), and a delivered beat is observed within one poll stride of
+	// work plus at most the adaptive skip, which is bounded by ~8 µs of
+	// polling (the virtual clock is read every few microseconds of
+	// polling, not at every poll; internal/interrupt/virtual.go) — the
+	// dynamic counterpart of the bound the static liveness pass
+	// (internal/tpal/analysis, DESIGN.md §8) proves for TPAL programs,
+	// where every CFG cycle must cross a promotion-ready program point
+	// within a known number of instructions. Zero selects 128: a poll
+	// between clock reads is a decrement and a branch, so 128 keeps
+	// poll costs below a percent even for single-instruction loop
+	// bodies while holding that latency far below ♥ for any realistic
+	// stride. Ranges no longer than one stride run with no loop state
+	// at all.
 	PollStride int
 	// DisablePromotion makes polls consume heartbeats (paying the
 	// receive-side cost) without promoting, isolating interrupt overhead
@@ -144,7 +148,7 @@ func (rt *RT) Run(root func(*Ctx)) Stats {
 	rt.cfg.Mechanism.Start(pool.Workers(), rt.cfg.Heartbeat)
 	var rootSpan int64
 	pool.Run(func(w *sched.Worker) {
-		c := newCtx(w, rt)
+		c := newCtx(w, rt, 0, 0)
 		root(c)
 		rootSpan = c.finish()
 	})

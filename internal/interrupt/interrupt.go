@@ -16,18 +16,20 @@
 //
 // Because this reproduction runs on hosts where a dedicated signaling
 // core may not exist (the reference environment has a single CPU), the
-// default mechanisms are virtual-clock models: the worker checks a
-// monotonic clock against its next-beat deadline at every promotion-ready
-// poll site and fires when the deadline plus a sampled delivery latency
-// has passed. This is exactly how a per-core timer interrupt appears to
-// the interrupted task — "♥ elapsed on my core, with some delivery
-// delay" — and it keeps each mechanism's cost model (timer slop,
-// serialized signaling sweep, receive-side handler cost) explicit and
-// measurable. A goroutine-backed ThreadTimer mechanism is also provided
-// for hosts with spare cores; see threadtimer.go.
+// default mechanisms are virtual-clock models: at promotion-ready poll
+// sites the worker checks a monotonic clock against its next-beat
+// deadline — every few microseconds of polling, not at every poll; see
+// virtual.go — and fires when the deadline plus a sampled delivery
+// latency has passed. This is exactly how a per-core timer interrupt
+// appears to the interrupted task — "♥ elapsed on my core, with some
+// delivery delay" — and it keeps each mechanism's cost model (timer
+// slop, serialized signaling sweep, receive-side handler cost) explicit
+// and measurable. A goroutine-backed ThreadTimer mechanism is also
+// provided for hosts with spare cores; see threadtimer.go.
 package interrupt
 
 import (
+	"math"
 	"time"
 
 	"tpal/internal/sched"
@@ -132,8 +134,22 @@ type None struct{}
 // Name implements Mechanism.
 func (None) Name() string { return "none" }
 
-// Start implements Mechanism.
-func (None) Start([]*sched.Worker, time.Duration) {}
+// Start implements Mechanism. A worker with no beat source checks its
+// heartbeat flag out of line at every poll, for a thread-driven
+// mechanism's sake; None promises there is no such thread, so it
+// installs a source that turns every poll into a skipped one.
+func (None) Start(workers []*sched.Worker, _ time.Duration) {
+	for _, w := range workers {
+		w.SetBeatSource(never{})
+	}
+}
+
+type never struct{}
+
+func (never) Poll(w *sched.Worker) (bool, int64) {
+	w.SetPollSkip(math.MaxInt32)
+	return false, 0
+}
 
 // Stop implements Mechanism.
 func (None) Stop() {}

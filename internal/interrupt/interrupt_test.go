@@ -127,6 +127,52 @@ func TestVirtualBeatsCoalesce(t *testing.T) {
 	}
 }
 
+// TestVirtualSkipAdaptsDown pins the detection-latency bound of the
+// adaptive skip across a change of pace: polling flat out grows the
+// skip; when the polls then come 10µs apart, the skip already armed may
+// run out at that pace once (at most maxPollSkip polls), and the clock
+// reads after it must cut the skip to nothing, so that every later beat
+// is seen at the poll after its deadline.
+func TestVirtualSkipAdaptsDown(t *testing.T) {
+	p := sched.NewPool(1)
+	w := p.Workers()[0]
+	m := NewVirtual(Profile{Name: "precise"})
+	const period = 50 * time.Microsecond
+	m.Start(p.Workers(), period)
+	defer m.Stop()
+	st := m.(*virtualMech).states[0]
+
+	for deadline := time.Now().Add(5 * time.Millisecond); time.Now().Before(deadline); {
+		for i := 0; i < 1000; i++ {
+			w.PollHeartbeat()
+		}
+	}
+	if st.skip < 7 {
+		t.Fatalf("dense polling left the skip at %d", st.skip)
+	}
+
+	sparsePoll := func() bool {
+		spinDelay(10 * time.Microsecond)
+		return w.PollHeartbeat()
+	}
+	polls := 1
+	for !sparsePoll() {
+		if polls++; polls > maxPollSkip+1+int(period/(10*time.Microsecond))+1 {
+			t.Fatalf("no beat in %d sparse polls: the bound is one armed skip (%d) plus one period", polls, maxPollSkip)
+		}
+	}
+	// 100 polls span 20 periods; all but the odd one must be seen.
+	beats := 0
+	for i := 0; i < 100; i++ {
+		if sparsePoll() {
+			beats++
+		}
+	}
+	if beats < 15 || st.skip != 0 {
+		t.Fatalf("%d beats in 100 sparse polls over 20 periods, skip %d: the skip did not adapt down", beats, st.skip)
+	}
+}
+
 func TestThreadTimerDelivers(t *testing.T) {
 	p := sched.NewPool(2)
 	m := NewThreadTimer(Profile{Name: "thread"}, false)

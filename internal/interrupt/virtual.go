@@ -14,6 +14,18 @@ import (
 // sampled per beat from the profile. Beats that would land while the
 // worker is between polls coalesce — only one fires at the next poll,
 // just as a masked periodic interrupt fires once when unmasked.
+//
+// The clock is not read at every poll: a read costs tens of
+// nanoseconds, more than a fine-grained loop body or a recursive call.
+// Each read arms a skip on the worker (sched.Worker.SetPollSkip) sized
+// from the poll rate it has just measured, so that reads land a few
+// microseconds apart whatever the poll density. That is this model's
+// share of the runtime's promotion-latency contract: a delivered beat
+// is observed within one poll stride of work plus at most the adaptive
+// skip, which is bounded by ~8 µs of polling (sparseReadGap) at the
+// measured rate. When the rate drops abruptly the skip already armed
+// runs out at the new rate — at most maxPollSkip polls, once — and the
+// reads that follow rescale it to the new rate, not by halves.
 type virtualMech struct {
 	profile    Profile
 	simWorkers int // sweep-cost worker count override (simulated machine size)
@@ -99,23 +111,25 @@ type vstate struct {
 	mech      *virtualMech
 	effPeriod int64
 	next      int64 // deadline, ns since mech.started
-	skip      int32 // polls remaining before the next clock read
+	skip      int32 // polls the worker skips between clock reads
 	lastRead  int64 // clock value at the previous read
 	rng       uint64
 	delivered int64
 }
 
-// clockSkip bounds how many polls may pass between clock reads. Reading
-// the monotonic clock costs ~25ns, which would dominate fine-grained
-// loop bodies if paid at every poll; amortizing it over clockSkip polls
-// adds at most clockSkip poll intervals of beat-detection latency. The
-// skip adapts: when consecutive clock reads are far apart, the code is
-// polling sparsely (coarse loop bodies), the read is already amortized,
-// and skipping would only delay beats — so dense pollers skip and
-// sparse pollers read every time.
+// The skip adapts to keep consecutive clock reads between denseReadGap
+// and sparseReadGap apart: closer than that and the read is not yet
+// amortized, so the skip doubles; further and beats are detected late,
+// so it shrinks — in proportion to the overshoot, aiming at the middle
+// of the band, because a task that goes from polling every few
+// nanoseconds to polling every few microseconds must not keep a dense
+// poller's skip for ten more reads. maxPollSkip caps what one such
+// change of pace can cost; at a poll every 2 ns it still spaces reads
+// 2 µs apart.
 const (
-	clockSkip     = 8
-	sparsePollGap = 2000 // ns between reads above which skipping stops
+	denseReadGap  = 2_000 // ns
+	sparseReadGap = 8_000 // ns
+	maxPollSkip   = 1023
 )
 
 // Poll implements sched.BeatSource. The receive-side handler cost is
@@ -123,22 +137,34 @@ const (
 // consume-and-pay path, so the accounting matches thread-driven
 // mechanisms exactly.
 func (s *vstate) Poll(w *sched.Worker) (bool, int64) {
-	if s.skip > 0 {
-		s.skip--
-		return false, 0
-	}
 	now := time.Since(s.mech.started).Nanoseconds()
-	if now-s.lastRead < sparsePollGap*clockSkip {
-		s.skip = clockSkip - 1
+	switch gap := now - s.lastRead; {
+	case gap < denseReadGap:
+		if s.skip = 2*s.skip + 1; s.skip > maxPollSkip {
+			s.skip = maxPollSkip
+		}
+	case gap > sparseReadGap:
+		s.skip = int32(int64(s.skip+1) * (denseReadGap + sparseReadGap) / 2 / gap)
 	}
 	s.lastRead = now
+	w.SetPollSkip(s.skip)
 	if now < s.next {
 		return false, 0
 	}
 	s.delivered++
-	// Schedule the next beat from now: beats missed while the task was
-	// between polls are skipped, not bursted.
-	s.next = now + s.effPeriod + s.sampleSlop()
+	// Re-arm from the deadline, not from the observation, as a periodic
+	// timer does: the time this beat waited for a poll must not delay
+	// every later beat. What does separate two deadlines is the period
+	// plus a fresh sample of slop — the model of a ping thread that
+	// sleeps one period and wakes late — so the achievable rate is
+	// period/(period + mean slop + mean spike) of the target:
+	// 100/(100+8+4) ≈ 0.89 for LinuxPingThread at ♥ = 100µs. A deadline
+	// that is already past means whole periods went by unobserved; those
+	// are skipped, not bursted, by restarting from the observation.
+	step := s.effPeriod + s.sampleSlop()
+	if s.next += step; s.next <= now {
+		s.next = now + step
+	}
 	return true, s.mech.profile.RecvCost.Nanoseconds()
 }
 

@@ -70,6 +70,39 @@ func TestBeatSourcePathPaysPenalty(t *testing.T) {
 	}
 }
 
+// skipThree fires at every poll it sees and asks for the next three to
+// be skipped.
+type skipThree struct{ consulted int }
+
+func (s *skipThree) Poll(w *Worker) (bool, int64) {
+	s.consulted++
+	w.SetPollSkip(3)
+	return true, 0
+}
+
+// TestSetPollSkipCountsOffPolls pins the skip a beat source arms: exactly
+// that many polls return false without reaching the source, the next
+// one reaches it, and replacing the source disarms the skip.
+func TestSetPollSkipCountsOffPolls(t *testing.T) {
+	p := NewPool(1)
+	w := p.Workers()[0]
+	src := &skipThree{}
+	w.SetBeatSource(src)
+	for i := 0; i < 9; i++ {
+		if fired, want := w.PollHeartbeat(), i%4 == 0; fired != want {
+			t.Fatalf("poll %d: fired = %v, want %v", i, fired, want)
+		}
+	}
+	if src.consulted != 3 || w.HeartbeatsSeen != 3 {
+		t.Fatalf("source consulted %d times, %d beats seen; want 3 and 3", src.consulted, w.HeartbeatsSeen)
+	}
+	// Poll 8 fired and armed a skip of three; a new source starts clean.
+	w.SetBeatSource(beatEveryPoll{})
+	if !w.PollHeartbeat() {
+		t.Fatal("a skip armed by the previous source outlived it")
+	}
+}
+
 // TestMailboxRaceStress hammers the raise/take pair from concurrent
 // goroutines under the race detector: one raiser, one owner polling.
 // Invariants: the owner observes at least one beat, pays no more than

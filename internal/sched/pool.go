@@ -11,13 +11,21 @@ import (
 
 // Pool is a set of workers executing tasks cooperatively through
 // work stealing. A pool runs one root task to completion per Run call;
-// workers spin (with escalating pauses) between tasks, mirroring the
-// paper's runtime, which keeps worker threads hot for the duration of a
-// benchmark.
+// between tasks a worker spins, then yields, then parks until a spawn
+// wakes it — the paper's runtime keeps worker threads hot for the
+// duration of a benchmark, and a parked worker is back within a wake-up,
+// not a timer tick.
 type Pool struct {
 	workers []*Worker
 	done    atomic.Bool
 	wg      sync.WaitGroup
+
+	// parked counts workers blocked (or about to block) on wake; a
+	// spawn that sees it non-zero hands one of them a token. wake is
+	// buffered to the worker count, so a token sent before its worker
+	// blocks is kept, and a full buffer already holds one per parker.
+	parked atomic.Int32
+	wake   chan struct{}
 
 	tasksCreated atomic.Int64
 
@@ -32,7 +40,7 @@ func NewPool(n int) *Pool {
 	if n < 1 {
 		n = 1
 	}
-	p := &Pool{}
+	p := &Pool{wake: make(chan struct{}, n)}
 	p.workers = make([]*Worker, n)
 	for i := range p.workers {
 		p.workers[i] = &Worker{
@@ -61,31 +69,27 @@ func (p *Pool) SetTracer(t *trace.Tracer) {
 // NumWorkers returns the worker count.
 func (p *Pool) NumWorkers() int { return len(p.workers) }
 
-// CountTaskCreated bumps the pool-wide created-task counter; the
-// heartbeat and Cilk layers call it at every promotion / spawn so that
-// Figure 15a's task counts come from one place.
-func (p *Pool) CountTaskCreated() { p.tasksCreated.Add(1) }
-
-// TasksCreated returns the number of tasks created during Run.
+// TasksCreated returns the number of tasks created during Run: one per
+// Worker.Spawn, which the heartbeat and Cilk layers call at every
+// promotion / spawn, so Figure 15a's task counts come from one place.
 func (p *Pool) TasksCreated() int64 { return p.tasksCreated.Load() }
 
 // Run executes root on worker 0 and returns when it and every task it
 // transitively created have completed. It may be called once per pool.
 func (p *Pool) Run(root func(w *Worker)) {
-	var rootDone atomic.Int64
-	rootDone.Store(1)
-	w0 := p.workers[0]
-	w0.deque.PushBottom(TaskFunc(func(w *Worker) {
-		defer rootDone.Store(0)
+	p.workers[0].deque.PushBottom(TaskFunc(func(w *Worker) {
+		// The root's join structure guarantees all transitive work
+		// completed before it returns, so its return ends the run.
+		defer p.finish()
 		root(w)
 	}))
 
 	p.started = time.Now()
-	// Workers 1..n-1 run the generic loop; worker 0 runs it too and will
-	// pick up the root task immediately (it is at its own bottom).
+	// Every worker runs the generic loop; worker 0 picks up the root
+	// task immediately (it is at its own bottom).
 	for _, w := range p.workers {
 		p.wg.Add(1)
-		go p.workerLoop(w, &rootDone)
+		go p.workerLoop(w)
 	}
 	p.wg.Wait()
 	p.elapsed = time.Since(p.started)
@@ -94,47 +98,73 @@ func (p *Pool) Run(root func(w *Worker)) {
 // Elapsed returns the wall-clock duration of Run.
 func (p *Pool) Elapsed() time.Duration { return p.elapsed }
 
-func (p *Pool) workerLoop(w *Worker, rootDone *atomic.Int64) {
+// Idle escalation: a worker whose steal sweeps keep failing spins for
+// spinSweeps of them, yields its thread until yieldSweeps, then parks.
+const (
+	spinSweeps  = 8
+	yieldSweeps = 64
+)
+
+func (p *Pool) workerLoop(w *Worker) {
 	defer p.wg.Done()
 	fails := 0
-	for {
-		if rootDone.Load() == 0 {
-			// The root task has returned; its join structure guarantees
-			// all transitive work completed before that.
-			p.done.Store(true)
-			return
-		}
-		if p.done.Load() {
-			return
-		}
+	for !p.done.Load() {
 		if t := w.PopOrSteal(); t != nil {
 			fails = 0
 			w.Execute(t)
 			continue
 		}
 		fails++
-		p.pauseFor(fails)
+		switch {
+		case fails < spinSweeps:
+		case fails < yieldSweeps:
+			runtime.Gosched()
+		default:
+			if t := p.park(w); t != nil {
+				w.Execute(t)
+			}
+			fails = 0
+		}
+	}
+}
+
+// park blocks w until a spawn or the end of the run wakes it. No
+// wake-up is lost: the worker announces itself in parked before its
+// last look at the deques and at done, and Spawn and finish publish
+// (push the task, set done) before they read parked — so either that
+// last look finds what was published, which park returns, or the
+// publisher sees the announcement and leaves a token.
+func (p *Pool) park(w *Worker) Task {
+	p.parked.Add(1)
+	defer p.parked.Add(-1)
+	if t := w.trySteal(); t != nil || p.done.Load() {
+		return t
+	}
+	<-p.wake
+	return nil
+}
+
+// wakeOne hands one parked worker a token. Never blocks: when the
+// buffer is full there is already a token for every worker.
+func (p *Pool) wakeOne() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// finish ends the run: workers between tasks see done, parked ones are
+// woken to see it.
+func (p *Pool) finish() {
+	p.done.Store(true)
+	for range p.workers {
+		p.wakeOne()
 	}
 }
 
 // idlePause is a single short pause used inside join waits.
 func (p *Pool) idlePause() {
 	runtime.Gosched()
-}
-
-// pauseFor escalates from busy yields to short sleeps as consecutive
-// failed steal sweeps accumulate, so an idle pool does not burn a full
-// core per worker indefinitely while still reacting to new work within
-// microseconds.
-func (p *Pool) pauseFor(fails int) {
-	switch {
-	case fails < 8:
-		// spin
-	case fails < 64:
-		runtime.Gosched()
-	default:
-		time.Sleep(20 * time.Microsecond)
-	}
 }
 
 // Stats aggregates per-worker accounting after Run.

@@ -24,10 +24,16 @@ type Worker struct {
 	deque *Deque
 	rng   uint64
 
+	// pollSkip is the number of upcoming PollHeartbeat calls that return
+	// false without looking at the beat source: the source sets it (see
+	// SetPollSkip) so that a dense poller pays a decrement, not an
+	// interface call and a clock read, at most program points.
+	pollSkip int32
+
 	hbFlag     atomic.Uint32
 	hbPenalty  atomic.Int64 // simulated handler cost, nanoseconds
 	beatSource BeatSource   // virtual-clock delivery model, owner-polled
-	_pad       [40]byte     // keep hot heartbeat state off neighbors' lines
+	_pad       [32]byte     // keep hot heartbeat state off neighbors' lines
 
 	// Accounting (owner-written; read after the pool stops).
 	TasksExecuted  int64 // tasks run from deques (own or stolen)
@@ -48,6 +54,11 @@ type Worker struct {
 	// stealIdle marks that the previous steal sweep failed, so further
 	// failures of the same idle stretch are not re-recorded.
 	stealIdle bool
+
+	// Scratch belongs to the runtime layered on the pool, which keeps
+	// per-worker reusable state here (the heartbeat runtime its free
+	// list of task contexts). Owner-goroutine only.
+	Scratch any
 }
 
 // ID returns the worker's index within its pool.
@@ -81,7 +92,18 @@ type BeatSource interface {
 
 // SetBeatSource installs (or, with nil, removes) a poll-driven delivery
 // model. Interrupt mechanisms call this at Start/Stop.
-func (w *Worker) SetBeatSource(s BeatSource) { w.beatSource = s }
+func (w *Worker) SetBeatSource(s BeatSource) {
+	w.beatSource = s
+	w.pollSkip = 0
+}
+
+// SetPollSkip makes the next n PollHeartbeat calls return false without
+// consulting the beat source. A source calls it from Poll when it knows
+// no beat can be worth detecting sooner — the virtual clock does, to
+// space its clock reads a few microseconds apart whatever the poll
+// density. Every skipped poll is detection latency, so the source owns
+// the bound. Owner-goroutine only.
+func (w *Worker) SetPollSkip(n int32) { w.pollSkip = n }
 
 // AddPenalty records simulated interrupt-handler time paid by this
 // worker. Owner-goroutine only.
@@ -92,13 +114,29 @@ func (w *Worker) AddPenalty(nanos int64) { w.PenaltyNanos += nanos }
 // performance model. Owner-goroutine only.
 func (w *Worker) AddSelfWork(nanos int64) { w.SelfWorkNanos += nanos }
 
-// PollHeartbeat is the promotion-ready program point's check: it
-// consults the installed beat source if any, else the heartbeat flag
-// raised by a thread-driven mechanism. It returns whether a beat fired,
+// SkipPoll reports whether this poll is one the beat source asked to
+// skip, counting it off. It is the whole cost of a promotion-ready
+// program point between clock reads, and small enough to inline into
+// every poll site ahead of the out-of-line PollHeartbeat.
+func (w *Worker) SkipPoll() bool {
+	if w.pollSkip > 0 {
+		w.pollSkip--
+		return true
+	}
+	return false
+}
+
+// PollHeartbeat is the promotion-ready program point's check: unless
+// the beat source asked for this poll to be skipped, it consults the
+// source if one is installed, else takes the heartbeat flag a
+// thread-driven mechanism raised. It returns whether a beat fired,
 // having already paid the receive-side cost: both delivery paths route
 // through the same consume-and-pay helper, so HeartbeatsSeen and
 // PenaltyNanos stay consistent whichever mechanism delivered the beat.
 func (w *Worker) PollHeartbeat() bool {
+	if w.SkipPoll() {
+		return false
+	}
 	if s := w.beatSource; s != nil {
 		fired, penalty := s.Poll(w)
 		if !fired {
@@ -199,6 +237,19 @@ func (w *Worker) Execute(t Task) {
 	w.execDepth--
 	if w.execDepth == 0 {
 		w.BusyNanos += time.Since(w.busyStart).Nanoseconds()
+	}
+}
+
+// Spawn publishes a task this worker created: it counts it, pushes its
+// box at the bottom of the worker's deque, where idle workers steal it,
+// and wakes a parked worker if there is one — an atomic load when there
+// is none. Owner-goroutine only; the box must be bound to its task.
+func (w *Worker) Spawn(b *Box) {
+	p := w.pool
+	p.tasksCreated.Add(1)
+	w.deque.PushBottomBox(b)
+	if p.parked.Load() > 0 {
+		p.wakeOne()
 	}
 }
 
