@@ -116,11 +116,13 @@ cover:
 # dispatch cost of the interpreter vs the closure-threaded backend
 # (corpus and the plus-reduce kernel; serial, heartbeat, sanitizer and
 # fan-out configurations) and the one-time lowering cost per corpus
-# program, the cost of one promotion, and the four design ablations of
-# DESIGN.md §5. How fast the system is end to end is not measured here
-# but by `bash benchmark/run.sh`; the paper's figures are tpal-bench's.
+# program, the cost of one promotion, one full static analysis of the
+# minipar triple nest (raw and optimized, races off and on, with
+# allocations), and the four design ablations of DESIGN.md §5. How fast
+# the system is end to end is not measured here but by
+# `bash benchmark/run.sh`; the paper's figures are tpal-bench's.
 bench:
-	$(GO) test ./internal/tpal/machine ./internal/heartbeat . -run='^$$' -bench . -benchtime 1s
+	$(GO) test ./internal/tpal/machine ./internal/tpal/analysis ./internal/heartbeat . -run='^$$' -bench . -benchtime 1s
 
 # bench-smoke vets and tests the front-door benchmark harness.
 # benchmark/ is its own Go module, so the root `go build ./...` and

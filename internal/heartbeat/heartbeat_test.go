@@ -216,24 +216,29 @@ func TestPromotionHappensUnderBeats(t *testing.T) {
 func TestOuterFirstPromotesOuterLoop(t *testing.T) {
 	// With nested loops and outer-first policy, the first promotion must
 	// split the outer loop. We detect it by checking that distinct outer
-	// iterations run on more than one worker eventually.
+	// iterations run on more than one worker eventually. A run takes a
+	// few milliseconds, so when other processes hold every CPU a woken
+	// worker may not get one in time; a few runs make that unlikely.
 	cfg := Config{Workers: 4, Mechanism: fastBeat(), Heartbeat: time.Microsecond, PollStride: 1}
-	workersSeen := make(map[int]bool)
+	var workersSeen map[int]bool
 	var mu chan struct{} = make(chan struct{}, 1)
 	mu <- struct{}{}
-	Run(cfg, func(c *Ctx) {
-		c.ForNested(0, 64, func(cc *Ctx, i int) {
-			<-mu
-			workersSeen[cc.Worker().ID()] = true
-			mu <- struct{}{}
-			// enough inner work to straddle several beats
-			x := 0.0
-			for k := 0; k < 200_000; k++ {
-				x += float64(k)
-			}
-			_ = x
+	for run := 0; run < 5 && len(workersSeen) < 2; run++ {
+		workersSeen = make(map[int]bool)
+		Run(cfg, func(c *Ctx) {
+			c.ForNested(0, 64, func(cc *Ctx, i int) {
+				<-mu
+				workersSeen[cc.Worker().ID()] = true
+				mu <- struct{}{}
+				// enough inner work to straddle several beats
+				x := 0.0
+				for k := 0; k < 200_000; k++ {
+					x += float64(k)
+				}
+				_ = x
+			})
 		})
-	})
+	}
 	if len(workersSeen) < 2 {
 		t.Skipf("only %d workers participated (machine too loaded?)", len(workersSeen))
 	}

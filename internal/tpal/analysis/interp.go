@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 
 	"tpal/internal/tpal"
 )
@@ -31,11 +30,11 @@ type Options struct {
 // fixpoint) and reports diagnostics (during the report pass, when diags
 // is non-nil).
 type interp struct {
-	p        *tpal.Program
-	g        *CFG
-	opts     Options
-	universe []tpal.Reg
-	diags    *[]Diag
+	p     *tpal.Program
+	g     *CFG
+	opts  Options
+	ix    *regIndex
+	diags *[]Diag
 
 	// rec, when non-nil, receives every control-flow edge the
 	// interpreter emits. It is set during the report pass, when the
@@ -55,43 +54,11 @@ func (it *interp) edge(b *tpal.Block, instr int, to tpal.Label, kind EdgeKind) {
 	it.rec(Edge{From: b.Label, To: to, Kind: kind, Instr: instr})
 }
 
-func newInterp(p *tpal.Program, g *CFG, opts Options) *interp {
-	it := &interp{p: p, g: g, opts: opts}
-	seen := make(map[tpal.Reg]bool)
-	addReg := func(r tpal.Reg) {
-		if r != "" && !seen[r] {
-			seen[r] = true
-			it.universe = append(it.universe, r)
-		}
-	}
-	for _, b := range p.Blocks {
-		for _, rr := range b.Ann.DeltaR {
-			addReg(rr.From)
-			addReg(rr.To)
-		}
-		for _, in := range b.Instrs {
-			addReg(in.Dst)
-			addReg(in.Src)
-			addReg(in.Src2)
-			if in.Val.Kind == tpal.OperReg {
-				addReg(in.Val.Reg)
-			}
-		}
-		if b.Term.Val.Kind == tpal.OperReg {
-			addReg(b.Term.Val.Reg)
-		}
-	}
-	for _, r := range opts.EntryRegs {
-		addReg(r)
-	}
-	return it
-}
-
 func (it *interp) entryState() *state {
-	st := newState()
+	st := newState(it.ix)
 	for _, r := range it.opts.EntryRegs {
 		if r != "" {
-			st.regs[r] = topVal()
+			st.regs[it.ix.of(r)] = topVal()
 		}
 	}
 	return st
@@ -106,9 +73,9 @@ func (it *interp) entryState() *state {
 // (fib's memory-held return continuations, minipar's call protocol) in
 // false positives.
 func (it *interp) havocState() *state {
-	st := newState()
-	for _, r := range it.universe {
-		st.regs[r] = topVal()
+	st := newState(it.ix)
+	for i := range st.regs {
+		st.regs[i] = topVal()
 	}
 	return st
 }
@@ -157,14 +124,15 @@ func (it *interp) abstract(st *state, b *tpal.Block, instr int, o tpal.Operand, 
 }
 
 // transfer interprets one block. The engine owns the emitted states
-// only transiently (it clones or merges them on receipt), so edges emit
-// clones where the working state keeps evolving afterwards.
+// only transiently (it clones or merges them on receipt and never
+// mutates them), so an edge emits the working state itself and clones
+// only when the edge's state differs from it.
 func (it *interp) transfer(b *tpal.Block, st *state, emit func(tpal.Label, *state)) {
 	// A prppt block head may divert to the handler before the first
 	// instruction runs (the try-promote rule).
 	if b.Ann.Kind == tpal.AnnPrppt && it.p.Block(b.Ann.Handler) != nil {
 		it.edge(b, tpal.IssueBlock, b.Ann.Handler, EdgeHandler)
-		emit(b.Ann.Handler, st.clone())
+		emit(b.Ann.Handler, st)
 	}
 	for i := range b.Instrs {
 		it.step(b, i, st, emit)
@@ -184,17 +152,14 @@ func (it *interp) jumpTargets(v absVal) (labels []tpal.Label, top, never bool) {
 		// (A may-nil value contributes no label targets either.)
 		return nil, false, false
 	}
-	if v.labels.top {
+	if v.labels.top() {
 		return nil, true, false
 	}
-	for l := range v.labels.elems {
-		labels = append(labels, l)
-	}
-	// Sorted so the sharpened edge set — and everything downstream of
-	// its order: the RPO, irreducible-loop header ties, the cost
-	// expressions — is deterministic across runs.
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	return labels, false, false
+	// Sorted (lset keeps its members in order) so the sharpened edge set
+	// — and everything downstream of its order: the RPO,
+	// irreducible-loop header ties, the cost expressions — is
+	// deterministic across runs.
+	return v.labels.elems(), false, false
 }
 
 // fillVal is the value given to a never-assigned register on an
@@ -206,20 +171,14 @@ func (it *interp) jumpTargets(v absVal) (labels []tpal.Label, top, never bool) {
 // set here would spray havoc edges across every address-taken block.
 func fillVal() absVal { return absVal{mayDef: true, kinds: kindAll} }
 
-// assumeAssigned marks every register in the universe as assigned,
-// keeping the value facts of registers that have them. It owns st and
-// returns it.
+// assumeAssigned marks every register as assigned, keeping the value
+// facts of registers that have them. It owns st and returns it.
 func (it *interp) assumeAssigned(st *state) *state {
-	for _, r := range it.universe {
-		v, ok := st.regs[r]
-		if !ok || !v.mayDef {
-			st.regs[r] = fillVal()
-			continue
+	for i := range st.regs {
+		if !st.regs[i].mayDef {
+			st.regs[i] = fillVal()
 		}
-		if v.mayUndef {
-			v.mayUndef = false
-			st.regs[r] = v
-		}
+		st.regs[i].mayUndef = false
 	}
 	return st
 }
@@ -269,24 +228,20 @@ func (it *interp) step(b *tpal.Block, i int, st *state, emit func(tpal.Label, *s
 		it.checkUse(b, i, in.Src, cond, false, "if-jump condition")
 		switch in.Val.Kind {
 		case tpal.OperLabel:
-			taken := st.clone()
-			refinePrmGuard(taken, st, cond)
 			it.edge(b, i, in.Val.Label, EdgeIf)
-			emit(in.Val.Label, taken)
+			emit(in.Val.Label, refinePrmGuard(st, cond))
 		case tpal.OperReg:
 			tv := st.get(in.Val.Reg)
 			it.checkUse(b, i, in.Val.Reg, tv, false, "if-jump target")
 			if _, _, never := it.jumpTargets(tv); never {
 				it.report(Warning, CodeIfTargetKind, b, i, "if-jump target register %q can only hold %s, never a label; the branch faults if taken", in.Val.Reg, tv.kinds)
 			}
-			taken := st.clone()
-			refinePrmGuard(taken, st, cond)
-			it.emitIndirect(b, i, EdgeIndirect, taken, tv, emit)
+			it.emitIndirect(b, i, EdgeIndirect, refinePrmGuard(st, cond), tv, emit)
 		}
 		// Fall through: the condition was non-zero; a prmempty result
 		// being non-zero proves the queried stack had a live mark.
-		if cond.prmOf != "" {
-			st.proven[cond.prmOf] = true
+		if cond.prmOf != 0 {
+			st.proven[cond.prmOf-1] = true
 		}
 
 	case tpal.IJrAlloc:
@@ -312,7 +267,7 @@ func (it *interp) step(b *tpal.Block, i int, st *state, emit func(tpal.Label, *s
 		switch in.Val.Kind {
 		case tpal.OperLabel:
 			it.edge(b, i, in.Val.Label, EdgeFork)
-			emit(in.Val.Label, st.clone())
+			emit(in.Val.Label, st)
 		case tpal.OperReg:
 			tv := st.get(in.Val.Reg)
 			it.checkUse(b, i, in.Val.Reg, tv, true, "fork target")
@@ -325,8 +280,8 @@ func (it *interp) step(b *tpal.Block, i int, st *state, emit func(tpal.Label, *s
 	case tpal.ISNew:
 		id := stackID{Block: b.Label, Instr: i}
 		st.set(in.Dst, ptrVal(id))
-		st.heights[id] = 0
-		st.marks[id] = 0
+		st.heights.set(id, 0)
+		st.marks.set(id, 0)
 
 	case tpal.ISAlloc:
 		it.execSAlloc(b, i, st)
@@ -346,29 +301,29 @@ func (it *interp) step(b *tpal.Block, i int, st *state, emit func(tpal.Label, *s
 		if v.kinds&kMark != 0 {
 			// A mark value may be copied in, raising the true mark
 			// count above our bookkeeping: drop the upper bound.
-			forgetMarks(st, base.ptrs)
+			st.marks.forget(base.ptrs)
 		}
 
 	case tpal.IPrmPush:
 		base := it.checkBase(b, i, in.Src, st, "prmpush")
 		it.checkBounds(b, i, base, in.Off, st, "prmpush")
 		if id, ok := base.ptrs.only(); ok {
-			if n, known := st.marks[id]; known {
-				st.marks[id] = n + 1
+			if n, known := st.marks.get(id); known {
+				st.marks.set(id, n+1)
 			}
 		} else {
-			forgetMarks(st, base.ptrs)
+			st.marks.forget(base.ptrs)
 		}
 
 	case tpal.IPrmPop:
 		base := it.checkBase(b, i, in.Src, st, "prmpop")
 		it.checkBounds(b, i, base, in.Off, st, "prmpop")
 		if id, ok := base.ptrs.only(); ok {
-			if n, known := st.marks[id]; known {
+			if n, known := st.marks.get(id); known {
 				if n == 0 {
 					it.report(Error, CodePrmPopEmpty, b, i, "prmpop on a stack with no live promotion-ready marks; the machine faults here")
 				} else {
-					st.marks[id] = n - 1
+					st.marks.set(id, n-1)
 				}
 			}
 		}
@@ -377,28 +332,28 @@ func (it *interp) step(b *tpal.Block, i int, st *state, emit func(tpal.Label, *s
 	case tpal.IPrmEmpty:
 		it.checkBase(b, i, in.Src2, st, "prmempty")
 		v := intVal()
-		v.prmOf = in.Src2
+		v.prmOf = int32(it.ix.of(in.Src2)) + 1
 		st.set(in.Dst, v)
 
 	case tpal.IPrmSplit:
 		base := it.checkBase(b, i, in.Src, st, "prmsplit")
 		known := int64(-1)
 		if id, ok := base.ptrs.only(); ok {
-			if n, k := st.marks[id]; k {
+			if n, k := st.marks.get(id); k {
 				known = n
 			}
 		}
 		switch {
 		case known == 0:
 			it.report(Error, CodePrmSplitEmpty, b, i, "prmsplit on a stack with no live promotion-ready marks; the machine faults here")
-		case known > 0 || st.proven[in.Src]:
+		case known > 0 || st.proven[it.ix.of(in.Src)]:
 			// Provably (or at least plausibly) non-empty: fine.
 		default:
 			it.report(Warning, CodePrmSplitUnguard, b, i, "prmsplit is not guarded by a prmempty check on %q; it faults when the mark list is empty", in.Src)
 		}
 		if id, ok := base.ptrs.only(); ok {
-			if n, k := st.marks[id]; k && n > 0 {
-				st.marks[id] = n - 1
+			if n, k := st.marks.get(id); k && n > 0 {
+				st.marks.set(id, n-1)
 			}
 		}
 		clearProven(st)
@@ -438,12 +393,10 @@ func (it *interp) term(b *tpal.Block, st *state, emit func(tpal.Label, *state)) 
 		}
 		var conts []tpal.Label
 		if v.mayDef && v.kinds&kRec != 0 {
-			if v.recs.top {
+			if v.recs.top() {
 				conts = it.g.Jtppts
 			} else {
-				for l := range v.recs.elems {
-					conts = append(conts, l)
-				}
+				conts = v.recs.elems()
 			}
 		}
 		for _, cl := range conts {
@@ -455,40 +408,43 @@ func (it *interp) term(b *tpal.Block, st *state, emit func(tpal.Label, *state)) 
 			// continuation with the merged register file; the merged
 			// file is this task's file with ΔR targets overwritten, so
 			// flowing this task's state (plus defined ΔR targets)
-			// covers it.
-			cont := st.clone()
-			comb := st.clone()
+			// covers it. The combining block sees the same file.
+			out := st.clone()
 			for _, rr := range cb.Ann.DeltaR {
 				fv := st.get(rr.From)
-				it.checkUse(b, ti, rr.From, fv,
-					false, fmt.Sprintf("join (ΔR of %q copies it into %q)", cl, rr.To))
+				if it.diags != nil {
+					it.checkUse(b, ti, rr.From, fv,
+						false, fmt.Sprintf("join (ΔR of %q copies it into %q)", cl, rr.To))
+				}
 				dv := fv
 				if !dv.mayDef {
 					dv = topVal()
 				}
 				dv.mayUndef = false
-				cont.set(rr.To, dv)
-				comb.set(rr.To, dv)
+				out.set(rr.To, dv)
 			}
 			it.edge(b, ti, cl, EdgeJoinCont)
-			emit(cl, cont)
+			emit(cl, out)
 			if it.p.Block(cb.Ann.Comb) != nil {
 				it.edge(b, ti, cb.Ann.Comb, EdgeJoinComb)
-				emit(cb.Ann.Comb, comb)
+				emit(cb.Ann.Comb, out)
 			}
 		}
 	}
 }
 
-// refinePrmGuard transfers prmempty knowledge onto the taken edge of an
-// if-jump: the condition is a prmempty result and the branch is taken
-// exactly when the mark list was empty.
-func refinePrmGuard(taken *state, st *state, cond absVal) {
-	if cond.prmOf == "" {
-		return
+// refinePrmGuard returns the state on the taken edge of an if-jump.
+// When the condition is a prmempty result the branch is taken exactly
+// when the mark list was empty, and a refined copy carries that
+// knowledge; otherwise it is st itself.
+func refinePrmGuard(st *state, cond absVal) *state {
+	if cond.prmOf == 0 {
+		return st
 	}
-	delete(taken.proven, cond.prmOf)
-	if id, ok := st.get(cond.prmOf).ptrs.only(); ok {
-		taken.marks[id] = 0
+	taken := st.clone()
+	taken.proven[cond.prmOf-1] = false
+	if id, ok := st.regs[cond.prmOf-1].ptrs.only(); ok {
+		taken.marks.set(id, 0)
 	}
+	return taken
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"tpal/internal/tpal"
@@ -261,116 +262,102 @@ func ivBinop(op tpal.Op, a, b ival) ival {
 // ivCond is a comparison-provenance fact: the holding register was
 // produced by `src op val`, with val either a register or a literal,
 // and none of the three registers reassigned since. Branch refinement
-// replays the comparison against the branch direction.
+// replays the comparison against the branch direction. Registers are
+// regIndex slots; the zero value (ok false) is "no fact".
 type ivCond struct {
+	ok    bool
 	op    tpal.Op
-	src   tpal.Reg
 	isReg bool
-	vreg  tpal.Reg
+	src   int
+	vreg  int
 	k     int64
 }
 
-func (c ivCond) mentions(r tpal.Reg) bool {
-	return c.src == r || (c.isReg && c.vreg == r)
+func (c ivCond) mentions(slot int) bool {
+	return c.src == slot || (c.isReg && c.vreg == slot)
 }
 
-// ivState is the per-program-point abstract state. A register absent
-// from regs is ⊤ (unknown, or a non-integer sort: labels, records and
-// stack pointers are all folded into ⊤, which is sound because the
-// machine never compares them arithmetically without faulting first).
+// ivState is the per-program-point abstract state, one slot per
+// register of the program's regIndex. A register holding ivTop() is
+// unknown, or of a non-integer sort: labels, records and stack pointers
+// are all folded into ⊤, which is sound because the machine never
+// compares them arithmetically without faulting first.
 type ivState struct {
-	regs  map[tpal.Reg]ival
-	conds map[tpal.Reg]ivCond
+	ix    *regIndex
+	regs  []ival
+	conds []ivCond
 }
 
-func newIvState() *ivState {
-	return &ivState{regs: make(map[tpal.Reg]ival), conds: make(map[tpal.Reg]ivCond)}
+func newIvState(ix *regIndex) *ivState {
+	s := &ivState{ix: ix, regs: make([]ival, len(ix.regs)), conds: make([]ivCond, len(ix.regs))}
+	for i := range s.regs {
+		s.regs[i] = ivTop()
+	}
+	return s
 }
 
 func (s *ivState) clone() *ivState {
-	n := &ivState{
-		regs:  make(map[tpal.Reg]ival, len(s.regs)),
-		conds: make(map[tpal.Reg]ivCond, len(s.conds)),
-	}
-	for r, v := range s.regs {
-		n.regs[r] = v
-	}
-	for r, c := range s.conds {
-		n.conds[r] = c
-	}
-	return n
+	return &ivState{ix: s.ix, regs: slices.Clone(s.regs), conds: slices.Clone(s.conds)}
 }
 
-func (s *ivState) get(r tpal.Reg) ival {
-	if v, ok := s.regs[r]; ok {
-		return v
-	}
-	return ivTop()
+// copyFrom overwrites s with src, reusing s's slots.
+func (s *ivState) copyFrom(src *ivState) {
+	copy(s.regs, src.regs)
+	copy(s.conds, src.conds)
 }
 
-// set stores an interval; ⊤ is represented by absence.
-func (s *ivState) set(r tpal.Reg, v ival) {
-	if v.isTop() {
-		delete(s.regs, r)
-	} else {
-		s.regs[r] = v
-	}
-}
+func (s *ivState) get(r tpal.Reg) ival { return s.regs[s.ix.of(r)] }
 
-// assign is a strong update of r: any comparison fact reading or held
-// by r is stale afterwards.
-func (s *ivState) assign(r tpal.Reg, v ival) {
-	delete(s.conds, r)
-	for cr, c := range s.conds {
-		if c.mentions(r) {
-			delete(s.conds, cr)
+// assign is a strong update of slot i: any comparison fact reading or
+// held by it is stale afterwards.
+func (s *ivState) assign(i int, v ival) {
+	for j, c := range s.conds {
+		if c.ok && (j == i || c.mentions(i)) {
+			s.conds[j] = ivCond{}
 		}
 	}
-	s.set(r, v)
+	s.regs[i] = v
 }
 
 // mergeFrom joins src into s and reports whether s changed. With widen
 // set, bounds that moved are sent to infinity instead of the join.
 func (s *ivState) mergeFrom(src *ivState, widen bool) bool {
 	changed := false
-	for r, v := range s.regs {
-		sv, ok := src.regs[r]
-		if !ok {
-			delete(s.regs, r) // ⊤ on the incoming side
-			changed = true
+	for i, v := range s.regs {
+		if v.isTop() {
 			continue
 		}
-		j := ivJoin(v, sv)
+		j := ivJoin(v, src.regs[i])
 		if widen {
 			j = ivWiden(v, j)
 		}
 		if j != v {
-			s.set(r, j)
+			s.regs[i] = j
 			changed = true
 		}
 	}
-	for r, c := range s.conds {
-		if sc, ok := src.conds[r]; !ok || sc != c {
-			delete(s.conds, r)
+	for i, c := range s.conds {
+		if c.ok && src.conds[i] != c {
+			s.conds[i] = ivCond{}
 			changed = true
 		}
 	}
 	return changed
 }
 
-// refineTruth constrains the state by "r holds a TPAL truth value and
-// the branch direction is known": holds means r == 0 (condition true).
-// When r carries comparison provenance the comparison itself is
+// refineTruth constrains the state by "slot r holds a TPAL truth value
+// and the branch direction is known": holds means r == 0 (condition
+// true). When r carries comparison provenance the comparison itself is
 // replayed against both operands. Returns false when the refined state
 // is empty (the direction is infeasible).
-func (s *ivState) refineTruth(r tpal.Reg, holds bool) bool {
-	rv := s.get(r)
+func (s *ivState) refineTruth(r int, holds bool) bool {
+	rv := s.regs[r]
 	if holds {
 		m, ok := rv.meet(ivConst(0))
 		if !ok {
 			return false
 		}
-		s.set(r, m)
+		s.regs[r] = m
 	} else {
 		// r != 0: only boundary exclusion is expressible.
 		if rv.lo == 0 && rv.hi == 0 {
@@ -378,37 +365,35 @@ func (s *ivState) refineTruth(r tpal.Reg, holds bool) bool {
 		}
 		if rv.lo == 0 {
 			rv.lo = 1
-			s.set(r, rv)
+			s.regs[r] = rv
 		} else if rv.hi == 0 {
 			rv.hi = -1
-			s.set(r, rv)
+			s.regs[r] = rv
 		}
 	}
-	c, ok := s.conds[r]
-	if !ok {
+	c := s.conds[r]
+	if !c.ok {
 		return true
 	}
 	op := c.op
 	if !holds {
 		op = negateCmp(op)
 	}
-	bv := ivTop()
+	bv := ivConst(c.k)
 	if c.isReg {
-		bv = s.get(c.vreg)
-	} else {
-		bv = ivConst(c.k)
+		bv = s.regs[c.vreg]
 	}
-	av, aOK := refineCmpLeft(op, s.get(c.src), bv)
+	av, aOK := refineCmpLeft(op, s.regs[c.src], bv)
 	if !aOK {
 		return false
 	}
-	s.set(c.src, av)
+	s.regs[c.src] = av
 	if c.isReg {
 		nv, bOK := refineCmpLeft(flipCmp(op), bv, av)
 		if !bOK {
 			return false
 		}
-		s.set(c.vreg, nv)
+		s.regs[c.vreg] = nv
 	}
 	return true
 }
@@ -545,6 +530,8 @@ const ivRoundCap = 48
 // replay is set only during the post-fixpoint recording sweep.
 type ivInterp struct {
 	p      *tpal.Program
+	ix     *regIndex
+	top    *ivState // all ⊤, the state after a join; never mutated
 	at     map[pcKey][]Edge
 	order  map[tpal.Label]int
 	replay *intervalFix
@@ -553,8 +540,8 @@ type ivInterp struct {
 // intervalPass runs the interval abstract interpretation to a fixpoint
 // over the sharpened edge graph g and returns the published facts.
 // headers marks the loop-forest headers, the widening points.
-func intervalPass(p *tpal.Program, g *graph, headers map[tpal.Label]bool) *intervalFix {
-	ix := &ivInterp{p: p, at: make(map[pcKey][]Edge), order: make(map[tpal.Label]int, len(p.Blocks))}
+func intervalPass(p *tpal.Program, g *graph, regs *regIndex, headers map[tpal.Label]bool) *intervalFix {
+	ix := &ivInterp{p: p, ix: regs, top: newIvState(regs), at: make(map[pcKey][]Edge), order: make(map[tpal.Label]int, len(p.Blocks))}
 	for i, b := range p.Blocks {
 		ix.order[b.Label] = i
 	}
@@ -574,9 +561,10 @@ func intervalPass(p *tpal.Program, g *graph, headers map[tpal.Label]bool) *inter
 		})
 	}
 
-	in := map[tpal.Label]*ivState{g.entry: newIvState()}
+	in := map[tpal.Label]*ivState{g.entry: newIvState(regs)}
 	visits := make(map[tpal.Label]int)
 	dirty := map[tpal.Label]bool{g.entry: true}
+	work := newIvState(regs) // the block being transferred
 	for round := 0; round < ivRoundCap; round++ {
 		any := false
 		for _, l := range g.rpo {
@@ -589,8 +577,8 @@ func intervalPass(p *tpal.Program, g *graph, headers map[tpal.Label]bool) *inter
 			if b == nil {
 				continue
 			}
-			st := in[l].clone()
-			ix.transfer(b, st, func(e Edge, out *ivState) {
+			work.copyFrom(in[l])
+			ix.transfer(b, work, func(e Edge, out *ivState) {
 				visits[e.To]++
 				widen := round >= ivRoundCap/2 ||
 					(headers[e.To] && visits[e.To] > ivWidenDelay*(1+len(g.preds[e.To])))
@@ -619,7 +607,7 @@ func intervalPass(p *tpal.Program, g *graph, headers map[tpal.Label]bool) *inter
 		// edge feasible, every branch unknown — sound, just impotent.
 		in = make(map[tpal.Label]*ivState, len(g.rpo))
 		for _, l := range g.rpo {
-			in[l] = newIvState()
+			in[l] = newIvState(regs)
 		}
 		break
 	}
@@ -632,7 +620,7 @@ func intervalPass(p *tpal.Program, g *graph, headers map[tpal.Label]bool) *inter
 	// narrows to the join of its real entry and guard-refined back-edge
 	// values.
 	for pass := 0; pass < 2; pass++ {
-		next := map[tpal.Label]*ivState{g.entry: newIvState()}
+		next := map[tpal.Label]*ivState{g.entry: newIvState(regs)}
 		for _, l := range g.rpo {
 			st, ok := in[l]
 			if !ok {
@@ -642,7 +630,8 @@ func intervalPass(p *tpal.Program, g *graph, headers map[tpal.Label]bool) *inter
 			if b == nil {
 				continue
 			}
-			ix.transfer(b, st.clone(), func(e Edge, out *ivState) {
+			// st is dropped with the rest of in after this pass.
+			ix.transfer(b, st, func(e Edge, out *ivState) {
 				if cur, ok := next[e.To]; ok {
 					cur.mergeFrom(out, false)
 				} else {
@@ -697,8 +686,9 @@ func branchFacts(p *tpal.Program, fix *intervalFix) []BranchFact {
 // if-jump resolutions are recorded as branch facts.
 func (ix *ivInterp) transfer(b *tpal.Block, st *ivState, emit func(Edge, *ivState)) {
 	for _, e := range ix.at[pcKey{b.Label, tpal.IssueBlock}] {
-		emit(e, st.clone()) // EdgeHandler: diversion happens before instr 0
+		emit(e, st) // EdgeHandler: diversion happens before instr 0
 	}
+	slot := ix.ix.of
 	operIval := func(o tpal.Operand) ival {
 		switch o.Kind {
 		case tpal.OperInt:
@@ -712,31 +702,28 @@ func (ix *ivInterp) transfer(b *tpal.Block, st *ivState, emit func(Edge, *ivStat
 		in := b.Instrs[i]
 		switch in.Kind {
 		case tpal.IMove:
-			st.assign(in.Dst, operIval(in.Val))
+			st.assign(slot(in.Dst), operIval(in.Val))
 		case tpal.IBinOp:
 			a := st.get(in.Src)
 			bv := operIval(in.Val)
 			res := ivBinop(in.Op, a, bv)
-			cond := ivCond{}
-			record := false
+			var cond ivCond
 			if in.Op.IsComparison() && in.Src != in.Dst {
 				switch in.Val.Kind {
 				case tpal.OperInt:
-					cond = ivCond{op: in.Op, src: in.Src, k: in.Val.Int}
-					record = true
+					cond = ivCond{ok: true, op: in.Op, src: slot(in.Src), k: in.Val.Int}
 				case tpal.OperReg:
 					if in.Val.Reg != in.Dst {
-						cond = ivCond{op: in.Op, src: in.Src, isReg: true, vreg: in.Val.Reg}
-						record = true
+						cond = ivCond{ok: true, op: in.Op, src: slot(in.Src), isReg: true, vreg: slot(in.Val.Reg)}
 					}
 				}
 			}
-			st.assign(in.Dst, res)
-			if record {
-				st.conds[in.Dst] = cond
-			}
+			d := slot(in.Dst)
+			st.assign(d, res)
+			st.conds[d] = cond
 		case tpal.IIfJump:
-			cv := st.get(in.Src)
+			c := slot(in.Src)
+			cv := st.regs[c]
 			always := cv.lo == 0 && cv.hi == 0
 			never := !cv.contains(0)
 			if ix.replay != nil && in.Val.Kind == tpal.OperLabel {
@@ -750,7 +737,7 @@ func (ix *ivInterp) transfer(b *tpal.Block, st *ivState, emit func(Edge, *ivStat
 			}
 			if !never {
 				taken := st.clone()
-				if taken.refineTruth(in.Src, true) {
+				if taken.refineTruth(c, true) {
 					for _, e := range ix.at[pcKey{b.Label, i}] {
 						emit(e, taken)
 					}
@@ -759,32 +746,32 @@ func (ix *ivInterp) transfer(b *tpal.Block, st *ivState, emit func(Edge, *ivStat
 			if always {
 				return // fall-through is dead
 			}
-			if !st.refineTruth(in.Src, false) {
+			if !st.refineTruth(c, false) {
 				return
 			}
 		case tpal.IFork:
 			for _, e := range ix.at[pcKey{b.Label, i}] {
-				emit(e, st.clone()) // the child copies the register file
+				emit(e, st) // the child copies the register file
 			}
 		case tpal.IJrAlloc, tpal.ISNew, tpal.ILoad:
-			st.assign(in.Dst, ivTop())
+			st.assign(slot(in.Dst), ivTop())
 		case tpal.IPrmEmpty:
-			st.assign(in.Dst, ivBool())
+			st.assign(slot(in.Dst), ivBool())
 		case tpal.IPrmSplit:
-			st.assign(in.Src2, ivTop())
+			st.assign(slot(in.Src2), ivTop())
 		}
 	}
 	ti := len(b.Instrs)
 	switch b.Term.Kind {
 	case tpal.TJump:
 		for _, e := range ix.at[pcKey{b.Label, ti}] {
-			emit(e, st.clone())
+			emit(e, st)
 		}
 	case tpal.TJoin:
 		// The merged register file after a join mixes parent and child
 		// values under ΔR; havoc everything, mirroring the constant pass.
 		for _, e := range ix.at[pcKey{b.Label, ti}] {
-			emit(e, newIvState())
+			emit(e, ix.top)
 		}
 	}
 }

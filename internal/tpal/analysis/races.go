@@ -37,6 +37,7 @@ package analysis
 // a mayPost access as definite interference.
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -61,7 +62,7 @@ func indexEdges(sharp []Edge) map[tpal.Label]map[int][]Edge {
 // returns the race diagnostics. The sharpened edges resolve only the
 // analyzed fork's own child targets; inside a branch the walker
 // resolves all control flow itself (see walker).
-func racePass(p *tpal.Program, sharp []Edge, reached map[tpal.Label]bool, entry []tpal.Reg) []Diag {
+func racePass(p *tpal.Program, ix *regIndex, sharp []Edge, reached map[tpal.Label]bool, entry []tpal.Reg) []Diag {
 	facts := computePtrFacts(p)
 	rf := computeRecFacts(p)
 	lf := computeLabFacts(p, entry)
@@ -96,12 +97,12 @@ func racePass(p *tpal.Program, sharp []Edge, reached map[tpal.Label]bool, entry 
 		}
 
 		forkRec := b.Instrs[fs.Instr].Src
-		init := initState(facts, rf, lf, freshAtFork(b, fs.Instr), forkRec)
+		init := initState(ix, facts, rf, lf, freshAtFork(b, fs.Instr), forkRec)
 
-		parent := runBranch(p, facts, rf, lf, func(w *walker) {
+		parent := runBranch(p, ix, facts, rf, lf, func(w *walker) {
 			w.replay(b, fs.Instr+1, init.clone())
 		})
-		child := runBranch(p, facts, rf, lf, func(w *walker) {
+		child := runBranch(p, ix, facts, rf, lf, func(w *walker) {
 			for _, tgt := range targets {
 				w.seed(tgt, init)
 			}
@@ -119,10 +120,10 @@ func racePass(p *tpal.Program, sharp []Edge, reached map[tpal.Label]bool, entry 
 // has covered the branch. Both flags grow monotonically and assuming
 // them true only adds seeds, so re-running with the observed flags
 // converges within three rounds.
-func runBranch(p *tpal.Program, facts *ptrFacts, rf *recFacts, lf *labFacts, seed func(*walker)) *walker {
+func runBranch(p *tpal.Program, ix *regIndex, facts *ptrFacts, rf *recFacts, lf *labFacts, seed func(*walker)) *walker {
 	assumePair, assumeOther := false, false
 	for {
-		w := newWalker(p, facts, rf, lf)
+		w := newWalker(p, ix, facts, rf, lf)
 		w.assumePairFork, w.assumeOtherFork = assumePair, assumeOther
 		seed(w)
 		w.run()
@@ -201,7 +202,9 @@ func classify(facts *ptrFacts, fs tpal.ForkSite, pa, ca *access) (Diag, bool) {
 			pa.kind, posString(pa.block, pa.instr), ca.kind, posString(ca.block, ca.instr))
 	}
 
-	if pa.p.top || ca.p.top {
+	// Recorded accesses always carry a pointer: their origins are set.
+	po, co := pa.p.o, ca.p.o
+	if po.top || co.top {
 		return at(Warning, CodeRaceEscape,
 			fmt.Sprintf("a stack pointer escapes to memory, so the branches of this fork cannot be separated: %s may touch the same stack", pair()))
 	}
@@ -211,31 +214,23 @@ func classify(facts *ptrFacts, fs tpal.ForkSite, pa, ca *access) (Diag, bool) {
 	mayAliasRegs := ""
 	if pa.p.singleOrigin() && ca.p.singleOrigin() {
 		switch {
-		case len(pa.p.fresh) == 1 && len(ca.p.fresh) == 1:
-			definite = sameKeySID(pa.p.fresh, ca.p.fresh)
-		case len(pa.p.olds) == 1 && len(ca.p.olds) == 1:
-			if sameKeyReg(pa.p.olds, ca.p.olds) {
+		case len(po.fresh) == 1 && len(co.fresh) == 1:
+			definite = po.fresh[0] == co.fresh[0]
+		case len(po.olds) == 1 && len(co.olds) == 1:
+			if po.olds[0] == co.olds[0] {
 				definite = true
-			} else if oldsMayAlias(facts, pa.p.olds, ca.p.olds) {
-				mayAliasRegs = oldsPair(pa.p.olds, ca.p.olds)
+			} else if oldsMayAlias(facts, po.olds, co.olds) {
+				mayAliasRegs = oldsPair(po.olds, co.olds)
 			}
 		}
 		possible = definite
 	} else {
 		// Multi-origin values: any shared fresh id or shared old
 		// register makes the same instance possible.
-		for id := range pa.p.fresh {
-			if ca.p.fresh[id] {
-				possible = true
-			}
-		}
-		for r := range pa.p.olds {
-			if ca.p.olds[r] {
-				possible = true
-			}
-		}
-		if !possible && oldsMayAlias(facts, pa.p.olds, ca.p.olds) {
-			mayAliasRegs = oldsPair(pa.p.olds, ca.p.olds)
+		possible = sortedIntersects(po.fresh, co.fresh, stackID.compare) ||
+			sortedIntersects(po.olds, co.olds, cmp.Compare[tpal.Reg])
+		if !possible && oldsMayAlias(facts, po.olds, co.olds) {
+			mayAliasRegs = oldsPair(po.olds, co.olds)
 		}
 	}
 
@@ -301,41 +296,18 @@ func posString(b tpal.Label, instr int) string {
 	return fmt.Sprintf("%s[%d]", b, instr)
 }
 
-func sameKeySID(a, b map[stackID]bool) bool {
-	for k := range a {
-		if b[k] {
-			return true
-		}
-	}
-	return false
-}
-
-func sameKeyReg(a, b map[tpal.Reg]bool) bool {
-	for k := range a {
-		if b[k] {
-			return true
-		}
-	}
-	return false
-}
-
 // oldsMayAlias reports whether two sets of fork-time register values may
 // name the same instance, judged by the taint analysis's may-point-to
 // site sets.
-func oldsMayAlias(facts *ptrFacts, a, b map[tpal.Reg]bool) bool {
-	for ra := range a {
-		for rb := range b {
+func oldsMayAlias(facts *ptrFacts, a, b []tpal.Reg) bool {
+	for _, ra := range a {
+		for _, rb := range b {
 			if ra == rb {
 				continue
 			}
 			sa, sb := facts.sites[ra], facts.sites[rb]
-			if sa.top || sb.top {
+			if sa.top() || sb.top() || sa.intersects(sb) {
 				return true
-			}
-			for id := range sa.elems {
-				if sb.elems[id] {
-					return true
-				}
 			}
 		}
 	}
@@ -343,18 +315,14 @@ func oldsMayAlias(facts *ptrFacts, a, b map[tpal.Reg]bool) bool {
 }
 
 // oldsPair renders the two register sets of a may-alias finding.
-func oldsPair(a, b map[tpal.Reg]bool) string {
+func oldsPair(a, b []tpal.Reg) string {
 	return fmt.Sprintf("%s and %s", regSet(a), regSet(b))
 }
 
-func regSet(m map[tpal.Reg]bool) string {
-	regs := make([]string, 0, len(m))
-	for r := range m {
-		regs = append(regs, string(r))
+// regSet renders a sorted register set.
+func regSet(rs []tpal.Reg) string {
+	if len(rs) == 1 {
+		return "register " + string(rs[0])
 	}
-	sort.Strings(regs)
-	if len(regs) == 1 {
-		return "register " + regs[0]
-	}
-	return "registers " + fmt.Sprint(regs)
+	return "registers " + fmt.Sprint(rs)
 }

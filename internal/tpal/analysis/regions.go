@@ -27,6 +27,9 @@ package analysis
 // promotion allocates from the same snew site.
 
 import (
+	"cmp"
+	"slices"
+
 	"tpal/internal/tpal"
 )
 
@@ -48,8 +51,7 @@ type ptrFacts struct {
 
 // mayPtr reports whether the register may ever hold a stack pointer.
 func (f *ptrFacts) mayPtr(r tpal.Reg) bool {
-	s, ok := f.sites[r]
-	return ok && (s.top || len(s.elems) > 0)
+	return !f.sites[r].empty()
 }
 
 // computePtrFacts runs the taint fixpoint over every instruction of the
@@ -58,7 +60,7 @@ func (f *ptrFacts) mayPtr(r tpal.Reg) bool {
 func computePtrFacts(p *tpal.Program) *ptrFacts {
 	f := &ptrFacts{sites: make(map[tpal.Reg]sidset)}
 	add := func(r tpal.Reg, s sidset) bool {
-		if r == "" || (!s.top && len(s.elems) == 0) {
+		if r == "" || s.empty() {
 			return false
 		}
 		cur := f.sites[r]
@@ -116,52 +118,6 @@ func computePtrFacts(p *tpal.Program) *ptrFacts {
 	return f
 }
 
-// labset is a may-set of labels, with top.
-type labset struct {
-	top   bool
-	elems map[tpal.Label]bool
-}
-
-func labOf(l tpal.Label) labset {
-	return labset{elems: map[tpal.Label]bool{l: true}}
-}
-
-func labTop() labset { return labset{top: true} }
-
-func (a labset) empty() bool { return !a.top && len(a.elems) == 0 }
-
-func (a labset) union(b labset) labset {
-	if a.top || b.top {
-		return labTop()
-	}
-	if len(b.elems) == 0 {
-		return a
-	}
-	if len(a.elems) == 0 {
-		return b
-	}
-	m := make(map[tpal.Label]bool, len(a.elems)+len(b.elems))
-	for l := range a.elems {
-		m[l] = true
-	}
-	for l := range b.elems {
-		m[l] = true
-	}
-	return labset{elems: m}
-}
-
-func (a labset) equal(b labset) bool {
-	if a.top != b.top || len(a.elems) != len(b.elems) {
-		return false
-	}
-	for l := range a.elems {
-		if !b.elems[l] {
-			return false
-		}
-	}
-	return true
-}
-
 // recFacts is a flow-insensitive over-approximation of which join
 // records each register may hold, identified by their continuation
 // label. Records originate only at jralloc and propagate through
@@ -171,17 +127,17 @@ func (a labset) equal(b labset) bool {
 // the one place where global imprecision would otherwise leak blocks
 // from an unrelated phase of the program into a branch summary.
 type recFacts struct {
-	conts   map[tpal.Reg]labset
+	conts   map[tpal.Reg]lset
 	escaped bool
 	// all is every jralloc continuation in the program — the expansion
 	// of a top record set at a join.
-	all labset
+	all lset
 }
 
 func computeRecFacts(p *tpal.Program) *recFacts {
-	f := &recFacts{conts: make(map[tpal.Reg]labset)}
-	all := labset{elems: make(map[tpal.Label]bool)}
-	add := func(r tpal.Reg, s labset) bool {
+	f := &recFacts{conts: make(map[tpal.Reg]lset)}
+	var all []tpal.Label
+	add := func(r tpal.Reg, s lset) bool {
 		if r == "" || s.empty() {
 			return false
 		}
@@ -193,11 +149,11 @@ func computeRecFacts(p *tpal.Program) *recFacts {
 		f.conts[r] = nv
 		return true
 	}
-	mayRec := func(o tpal.Operand) labset {
+	mayRec := func(o tpal.Operand) lset {
 		if o.Kind == tpal.OperReg {
 			return f.conts[o.Reg]
 		}
-		return labset{}
+		return lset{}
 	}
 	for changed := true; changed; {
 		changed = false
@@ -210,8 +166,8 @@ func computeRecFacts(p *tpal.Program) *recFacts {
 			for _, in := range b.Instrs {
 				switch in.Kind {
 				case tpal.IJrAlloc:
-					all.elems[in.Lbl] = true
-					if add(in.Dst, labOf(in.Lbl)) {
+					all = append(all, in.Lbl)
+					if add(in.Dst, lOf(in.Lbl)) {
 						changed = true
 					}
 				case tpal.IMove:
@@ -219,7 +175,7 @@ func computeRecFacts(p *tpal.Program) *recFacts {
 						changed = true
 					}
 				case tpal.ILoad:
-					if f.escaped && add(in.Dst, labTop()) {
+					if f.escaped && add(in.Dst, lTop()) {
 						changed = true
 					}
 				case tpal.IStore:
@@ -231,7 +187,7 @@ func computeRecFacts(p *tpal.Program) *recFacts {
 			}
 		}
 	}
-	f.all = all
+	f.all = lOf(all...)
 	return f
 }
 
@@ -245,7 +201,7 @@ func computeRecFacts(p *tpal.Program) *recFacts {
 // indirect transfer out to every address-taken label and leaks blocks
 // from an unrelated program phase into a branch summary.
 type labFacts struct {
-	labs    map[tpal.Reg]labset
+	labs    map[tpal.Reg]lset
 	escaped bool
 	// addrTaken is every label that appears as a move or store value
 	// operand and names a block — the only labels a register or stack
@@ -254,9 +210,9 @@ type labFacts struct {
 }
 
 func computeLabFacts(p *tpal.Program, entry []tpal.Reg) *labFacts {
-	f := &labFacts{labs: make(map[tpal.Reg]labset)}
+	f := &labFacts{labs: make(map[tpal.Reg]lset)}
 	taken := make(map[tpal.Label]bool)
-	add := func(r tpal.Reg, s labset) bool {
+	add := func(r tpal.Reg, s lset) bool {
 		if r == "" || s.empty() {
 			return false
 		}
@@ -268,18 +224,20 @@ func computeLabFacts(p *tpal.Program, entry []tpal.Reg) *labFacts {
 		f.labs[r] = nv
 		return true
 	}
-	mayLab := func(o tpal.Operand) labset {
+	mayLab := func(o tpal.Operand) lset {
 		switch o.Kind {
 		case tpal.OperLabel:
-			return labOf(o.Label)
+			return lOf(o.Label)
 		case tpal.OperReg:
 			return f.labs[o.Reg]
 		}
-		return labset{}
+		return lset{}
 	}
 	// Entry registers are under the caller's control; assume any label.
 	for _, r := range entry {
-		f.labs[r] = labTop()
+		if r != "" {
+			f.labs[r] = lTop()
+		}
 	}
 	for changed := true; changed; {
 		changed = false
@@ -304,7 +262,7 @@ func computeLabFacts(p *tpal.Program, entry []tpal.Reg) *labFacts {
 						changed = true
 					}
 				case tpal.ILoad:
-					if f.escaped && add(in.Dst, labTop()) {
+					if f.escaped && add(in.Dst, lTop()) {
 						changed = true
 					}
 				case tpal.IStore:
@@ -437,115 +395,73 @@ func freshAtFork(b *tpal.Block, forkIdx int) map[tpal.Reg]freshInfo {
 // index, for an olds origin the offset from the fork-time value. The
 // cell touched by mem[p + off] is then adj - off in the origin's
 // coordinate system.
+//
+// The origins live behind one immutable, shared handle (union swaps in
+// a new one when they grow), so a prov is a small plain value and
+// copying a branch state copies its provs by reference. The zero value
+// holds no pointer.
 type prov struct {
-	top   bool
-	fresh map[stackID]bool
-	news  map[stackID]bool
-	olds  map[tpal.Reg]bool
+	o     *origins
 	adj   int64
 	adjOK bool
 }
 
+// origins are a pointer value's possible instances: never empty, and
+// never mutated once built.
+type origins struct {
+	top   bool
+	fresh []stackID
+	news  []stackID
+	olds  []tpal.Reg
+}
+
 func provNone() prov { return prov{} }
 
-func provTop() prov { return prov{top: true} }
+var anyOrigin = &origins{top: true}
+
+func provTop() prov { return prov{o: anyOrigin} }
 
 func provFresh(fi freshInfo) prov {
-	return prov{fresh: map[stackID]bool{fi.id: true}, adj: fi.abs, adjOK: fi.absOK}
+	return prov{o: &origins{fresh: []stackID{fi.id}}, adj: fi.abs, adjOK: fi.absOK}
 }
 
 func provNew(id stackID) prov {
-	return prov{news: map[stackID]bool{id: true}, adj: -1, adjOK: true}
+	return prov{o: &origins{news: []stackID{id}}, adj: -1, adjOK: true}
 }
 
 func provOld(r tpal.Reg) prov {
-	return prov{olds: map[tpal.Reg]bool{r: true}, adjOK: true}
+	return prov{o: &origins{olds: []tpal.Reg{r}}, adjOK: true}
 }
 
 // hasPtr reports whether the value may be a stack pointer at all.
-func (p prov) hasPtr() bool {
-	return p.top || len(p.fresh) > 0 || len(p.news) > 0 || len(p.olds) > 0
-}
+func (p prov) hasPtr() bool { return p.o != nil }
 
 // singleOrigin reports whether the value has exactly one possible
 // instance origin, the precondition for using adj as a cell coordinate.
 func (p prov) singleOrigin() bool {
-	return !p.top && len(p.fresh)+len(p.news)+len(p.olds) == 1
-}
-
-func (p prov) clone() prov {
-	c := prov{top: p.top, adj: p.adj, adjOK: p.adjOK}
-	if len(p.fresh) > 0 {
-		c.fresh = make(map[stackID]bool, len(p.fresh))
-		for k := range p.fresh {
-			c.fresh[k] = true
-		}
-	}
-	if len(p.news) > 0 {
-		c.news = make(map[stackID]bool, len(p.news))
-		for k := range p.news {
-			c.news[k] = true
-		}
-	}
-	if len(p.olds) > 0 {
-		c.olds = make(map[tpal.Reg]bool, len(p.olds))
-		for k := range p.olds {
-			c.olds[k] = true
-		}
-	}
-	return c
+	return p.o != nil && !p.o.top && len(p.o.fresh)+len(p.o.news)+len(p.o.olds) == 1
 }
 
 // shift moves the pointer by d cells toward the base (the machine's
 // ptr + d), preserving origin sets.
 func (p prov) shift(d int64) prov {
-	c := p.clone()
-	c.adj -= d
-	return c
+	p.adj -= d
+	return p
 }
 
 // widen drops the cell coordinate (pointer arithmetic with an unknown
 // offset).
 func (p prov) widen() prov {
-	c := p.clone()
-	c.adjOK = false
-	return c
+	p.adjOK = false
+	return p
 }
 
 // union folds q into p, reporting whether p grew. Coordinates survive
 // only when both sides agree.
 func (p *prov) union(q prov) bool {
 	changed := false
-	if q.top && !p.top {
-		p.top = true
-		changed = true
-	}
-	for k := range q.fresh {
-		if !p.fresh[k] {
-			if p.fresh == nil {
-				p.fresh = make(map[stackID]bool)
-			}
-			p.fresh[k] = true
-			changed = true
-		}
-	}
-	for k := range q.news {
-		if !p.news[k] {
-			if p.news == nil {
-				p.news = make(map[stackID]bool)
-			}
-			p.news[k] = true
-			changed = true
-		}
-	}
-	for k := range q.olds {
-		if !p.olds[k] {
-			if p.olds == nil {
-				p.olds = make(map[tpal.Reg]bool)
-			}
-			p.olds[k] = true
-			changed = true
-		}
+	if o := joinOrigins(p.o, q.o); o != p.o {
+		p.o, changed = o, true
 	}
 	if p.adjOK && (!q.adjOK || q.adj != p.adj) && q.hasPtr() {
 		p.adjOK = false
@@ -554,39 +470,25 @@ func (p *prov) union(q prov) bool {
 	return changed
 }
 
-// provState is a branch walk's per-register provenance environment.
-// Absent registers hold no pointer (a consequence of the taint
-// analysis: only tainted registers enter the initial state, and
-// non-pointer results clear entries).
-type provState map[tpal.Reg]prov
-
-func (s provState) clone() provState {
-	c := make(provState, len(s))
-	for r, p := range s {
-		c[r] = p.clone()
+// joinOrigins is the union of two origin sets, returning an operand
+// itself whenever it already covers the other.
+func joinOrigins(a, b *origins) *origins {
+	switch {
+	case a == b || b == nil:
+		return a
+	case a == nil:
+		return b
 	}
-	return c
-}
-
-// mergeInto folds src into dst pointwise, reporting change.
-func (dst provState) mergeInto(src provState) bool {
-	changed := false
-	for r, q := range src {
-		if !q.hasPtr() {
-			continue
-		}
-		p, ok := dst[r]
-		if !ok {
-			dst[r] = q.clone()
-			changed = true
-			continue
-		}
-		if p.union(q) {
-			changed = true
-		}
-		dst[r] = p
+	u := origins{
+		top:   a.top || b.top,
+		fresh: sortedUnion(a.fresh, b.fresh, stackID.compare),
+		news:  sortedUnion(a.news, b.news, stackID.compare),
+		olds:  sortedUnion(a.olds, b.olds, cmp.Compare[tpal.Reg]),
 	}
-	return changed
+	if u.top == a.top && len(u.fresh) == len(a.fresh) && len(u.news) == len(a.news) && len(u.olds) == len(a.olds) {
+		return a
+	}
+	return &u
 }
 
 // pairTrit classifies whether a register may hold the analyzed fork's
@@ -611,94 +513,73 @@ func mergeTrit(a, b pairTrit) pairTrit {
 	return pairMay
 }
 
-// branchState is a branch walk's per-register environment: pointer
-// provenance, the continuations of the join records each register may
-// hold, and the code labels each register may hold. The latter two let
-// the walker resolve join terminators and register-indirect transfers
-// without consulting the main interpretation's merged edges.
+// branchState is a branch walk's per-register environment: one slot
+// per register of the program's regIndex, each holding the register's
+// pointer provenance, the continuations of the join records it may
+// hold, the code labels it may hold, and whether it may hold the
+// analyzed fork's own record. Records and labels let the walker resolve
+// join terminators and register-indirect transfers without consulting
+// the main interpretation's merged edges. Each fact's "absent" is its
+// zero value: no pointer, no record, no label, pairNo.
 type branchState struct {
-	prov provState
-	recs map[tpal.Reg]labset
-	labs map[tpal.Reg]labset
-	// pair tracks which registers may hold the analyzed fork's own join
-	// record (absent = pairNo). mayPost marks states some of whose
-	// executions may already be past the fork's pairing join, and hence
-	// serialized with the other branch; accesses recorded under it are
-	// never definite interference.
-	pair    map[tpal.Reg]pairTrit
+	ix   *regIndex
+	regs []branchReg
+	// mayPost marks states some of whose executions may already be past
+	// the fork's pairing join, and hence serialized with the other
+	// branch; accesses recorded under it are never definite
+	// interference.
 	mayPost bool
 }
 
-func newBranchState() *branchState {
-	return &branchState{
-		prov: make(provState),
-		recs: make(map[tpal.Reg]labset),
-		labs: make(map[tpal.Reg]labset),
-		pair: make(map[tpal.Reg]pairTrit),
-	}
+type branchReg struct {
+	prov prov
+	recs lset
+	labs lset
+	pair pairTrit
+}
+
+func newBranchState(ix *regIndex) *branchState {
+	return &branchState{ix: ix, regs: make([]branchReg, len(ix.regs))}
 }
 
 func (s *branchState) clone() *branchState {
-	c := &branchState{
-		prov:    s.prov.clone(),
-		recs:    make(map[tpal.Reg]labset, len(s.recs)),
-		labs:    make(map[tpal.Reg]labset, len(s.labs)),
-		pair:    make(map[tpal.Reg]pairTrit, len(s.pair)),
-		mayPost: s.mayPost,
-	}
-	for r, ls := range s.recs {
-		c.recs[r] = ls
-	}
-	for r, ls := range s.labs {
-		c.labs[r] = ls
-	}
-	for r, pt := range s.pair {
-		c.pair[r] = pt
-	}
-	return c
+	return &branchState{ix: s.ix, regs: slices.Clone(s.regs), mayPost: s.mayPost}
 }
 
-// mergeLabs folds one label map into another pointwise, reporting
-// change.
-func mergeLabs(dst, src map[tpal.Reg]labset) bool {
-	changed := false
-	for r, ls := range src {
-		if ls.empty() {
-			continue
-		}
-		cur := dst[r]
-		nv := cur.union(ls)
-		if !nv.equal(cur) {
-			dst[r] = nv
-			changed = true
-		}
-	}
-	return changed
+// copyFrom overwrites s with src, reusing s's slots.
+func (s *branchState) copyFrom(src *branchState) {
+	copy(s.regs, src.regs)
+	s.mayPost = src.mayPost
 }
 
 // mergeInto folds src into dst pointwise, reporting change.
 func (dst *branchState) mergeInto(src *branchState) bool {
-	changed := dst.prov.mergeInto(src.prov)
-	if mergeLabs(dst.recs, src.recs) {
-		changed = true
-	}
-	if mergeLabs(dst.labs, src.labs) {
-		changed = true
-	}
-	// pair: pointwise flat-lattice merge over the union of keys (absent
-	// = pairNo, so a key present on one side only widens to pairMay
-	// unless it already is).
-	for r, pt := range src.pair {
-		cur := dst.pair[r]
-		if nv := mergeTrit(cur, pt); nv != cur {
-			dst.pair[r] = nv
-			changed = true
+	changed := false
+	for i := range src.regs {
+		d, q := &dst.regs[i], &src.regs[i]
+		if *d == *q {
+			continue
 		}
-	}
-	for r, pt := range dst.pair {
-		if _, ok := src.pair[r]; !ok && pt == pairMust {
-			dst.pair[r] = pairMay
-			changed = true
+		if q.prov.hasPtr() {
+			if !d.prov.hasPtr() {
+				// Copy, coordinate included: unioning into the zero prov
+				// would drop adjOK.
+				d.prov = q.prov
+				changed = true
+			} else if d.prov.union(q.prov) {
+				changed = true
+			}
+		}
+		if nv := d.recs.union(q.recs); !nv.equal(d.recs) {
+			d.recs, changed = nv, true
+		}
+		if nv := d.labs.union(q.labs); !nv.equal(d.labs) {
+			d.labs, changed = nv, true
+		}
+		// pair is a flat lattice: pairNo on one side only widens to
+		// pairMay unless it already is.
+		if nv := mergeTrit(d.pair, q.pair); nv != d.pair {
+			d.pair, changed = nv, true
 		}
 	}
 	if src.mayPost && !dst.mayPost {
@@ -715,51 +596,37 @@ func (dst *branchState) mergeInto(src *branchState) bool {
 // fork instruction's record register: it definitely holds the fork's
 // own record, and any other record register whose may-continuation set
 // intersects its own may hold a copy of that record.
-func initState(facts *ptrFacts, rf *recFacts, lf *labFacts, fresh map[tpal.Reg]freshInfo, forkRec tpal.Reg) *branchState {
-	st := newBranchState()
+func initState(ix *regIndex, facts *ptrFacts, rf *recFacts, lf *labFacts, fresh map[tpal.Reg]freshInfo, forkRec tpal.Reg) *branchState {
+	st := newBranchState(ix)
 	for r := range facts.sites {
 		if !facts.mayPtr(r) {
 			continue
 		}
 		if fi, ok := fresh[r]; ok {
-			st.prov[r] = provFresh(fi)
+			st.regs[ix.of(r)].prov = provFresh(fi)
 		} else {
-			st.prov[r] = provOld(r)
+			st.regs[ix.of(r)].prov = provOld(r)
 		}
 	}
 	for r, ls := range rf.conts {
-		if !ls.empty() {
-			st.recs[r] = ls
-		}
+		st.regs[ix.of(r)].recs = ls
 	}
 	for r, ls := range lf.labs {
-		if !ls.empty() {
-			st.labs[r] = ls
-		}
+		st.regs[ix.of(r)].labs = ls
 	}
 	forkConts := rf.conts[forkRec]
 	for r, ls := range rf.conts {
 		if r == forkRec || ls.empty() {
 			continue
 		}
-		if ls.top || forkConts.top || labsIntersect(ls, forkConts) {
-			st.pair[r] = pairMay
+		if ls.top() || forkConts.top() || ls.intersects(forkConts) {
+			st.regs[ix.of(r)].pair = pairMay
 		}
 	}
 	if forkRec != "" {
-		st.pair[forkRec] = pairMust
+		st.regs[ix.of(forkRec)].pair = pairMust
 	}
 	return st
-}
-
-// labsIntersect reports whether two non-top label sets share an element.
-func labsIntersect(a, b labset) bool {
-	for l := range a.elems {
-		if b.elems[l] {
-			return true
-		}
-	}
-	return false
 }
 
 // accKind classifies one abstract memory access.
@@ -848,6 +715,7 @@ type accKey struct {
 // phase into the branch summary.
 type walker struct {
 	p     *tpal.Program
+	ix    *regIndex
 	facts *ptrFacts
 	rf    *recFacts
 	lf    *labFacts
@@ -855,6 +723,10 @@ type walker struct {
 	states map[tpal.Label]*branchState
 	queue  []tpal.Label
 	queued map[tpal.Label]bool
+	// work and join are scratch states: the block being replayed and
+	// the state flowing along one join edge. seed clones or merges what
+	// it receives, so neither outlives its use.
+	work, join *branchState
 
 	accs map[accKey]*access
 
@@ -872,14 +744,17 @@ type walker struct {
 	sawOtherFork    bool
 }
 
-func newWalker(p *tpal.Program, facts *ptrFacts, rf *recFacts, lf *labFacts) *walker {
+func newWalker(p *tpal.Program, ix *regIndex, facts *ptrFacts, rf *recFacts, lf *labFacts) *walker {
 	return &walker{
 		p:      p,
+		ix:     ix,
 		facts:  facts,
 		rf:     rf,
 		lf:     lf,
 		states: make(map[tpal.Label]*branchState),
 		queued: make(map[tpal.Label]bool),
+		work:   newBranchState(ix),
+		join:   newBranchState(ix),
 		accs:   make(map[accKey]*access),
 	}
 }
@@ -914,7 +789,8 @@ func (w *walker) run() {
 		if b == nil {
 			continue
 		}
-		w.replay(b, 0, w.states[l].clone())
+		w.work.copyFrom(w.states[l])
+		w.replay(b, 0, w.work)
 	}
 }
 
@@ -935,7 +811,7 @@ func (w *walker) record(b *tpal.Block, i int, kind accKind, off int64, offOK boo
 		}
 		return
 	}
-	w.accs[k] = &access{block: b.Label, instr: i, kind: kind, off: off, offOK: offOK, mayPost: mayPost, p: p.clone()}
+	w.accs[k] = &access{block: b.Label, instr: i, kind: kind, off: off, offOK: offOK, mayPost: mayPost, p: p}
 }
 
 // emitTarget flows the working state to a transfer target: a direct
@@ -947,14 +823,14 @@ func (w *walker) emitTarget(o tpal.Operand, st *branchState) {
 	case tpal.OperLabel:
 		w.seed(o.Label, st)
 	case tpal.OperReg:
-		ls := st.labs[o.Reg]
-		if ls.top {
+		ls := st.regs[w.ix.of(o.Reg)].labs
+		if ls.top() {
 			for _, l := range w.lf.addrTaken {
 				w.seed(l, st)
 			}
 			return
 		}
-		for l := range ls.elems {
+		for _, l := range ls.elems() {
 			w.seed(l, st)
 		}
 	}
@@ -991,18 +867,19 @@ func (w *walker) emitJoin(b *tpal.Block, st *branchState) {
 	if b.Term.Val.Kind != tpal.OperReg {
 		return
 	}
-	r := b.Term.Val.Reg
-	conts := st.recs[r]
-	if conts.top {
+	r := st.regs[w.ix.of(b.Term.Val.Reg)]
+	conts := r.recs
+	if conts.top() {
 		conts = w.rf.all
 	}
-	pair := st.pair[r]
-	for c := range conts.elems {
+	pair := r.pair
+	for _, c := range conts.elems() {
 		cb := w.p.Block(c)
 		if cb == nil {
 			continue
 		}
-		out := st.clone()
+		out := w.join
+		out.copyFrom(st)
 		applyDeltaR(out, st, cb.Ann.DeltaR)
 		if pair != pairNo {
 			out.mayPost = true
@@ -1022,26 +899,7 @@ func (w *walker) emitJoin(b *tpal.Block, st *branchState) {
 // join's register renames.
 func applyDeltaR(dst *branchState, src *branchState, deltaR []tpal.RegRename) {
 	for _, rr := range deltaR {
-		if p, ok := src.prov[rr.From]; ok {
-			dst.prov[rr.To] = p.clone()
-		} else {
-			delete(dst.prov, rr.To)
-		}
-		if ls, ok := src.recs[rr.From]; ok {
-			dst.recs[rr.To] = ls
-		} else {
-			delete(dst.recs, rr.To)
-		}
-		if ls, ok := src.labs[rr.From]; ok {
-			dst.labs[rr.To] = ls
-		} else {
-			delete(dst.labs, rr.To)
-		}
-		if pt, ok := src.pair[rr.From]; ok {
-			dst.pair[rr.To] = pt
-		} else {
-			delete(dst.pair, rr.To)
-		}
+		dst.regs[dst.ix.of(rr.To)] = src.regs[src.ix.of(rr.From)]
 	}
 }
 
@@ -1055,16 +913,14 @@ func (w *walker) replay(b *tpal.Block, start int, st *branchState) {
 		// first instruction runs.
 		w.seed(b.Ann.Handler, st)
 	}
-	get := func(r tpal.Reg) prov { return st.prov[r] }
-	setPtr := func(r tpal.Reg, p prov) {
-		delete(st.recs, r)
-		delete(st.labs, r)
-		delete(st.pair, r)
-		if p.hasPtr() {
-			st.prov[r] = p
-		} else {
-			delete(st.prov, r)
-		}
+	reg := func(r tpal.Reg) *branchReg { return &st.regs[w.ix.of(r)] }
+	get := func(r tpal.Reg) prov { return reg(r).prov }
+	// setPtr overwrites a register with a value whose only fact is its
+	// pointer provenance, and returns the register's facts.
+	setPtr := func(r tpal.Reg, p prov) *branchReg {
+		d := reg(r)
+		*d = branchReg{prov: p}
+		return d
 	}
 	for i := start; i < len(b.Instrs); i++ {
 		in := b.Instrs[i]
@@ -1072,25 +928,10 @@ func (w *walker) replay(b *tpal.Block, start int, st *branchState) {
 		case tpal.IMove:
 			switch in.Val.Kind {
 			case tpal.OperReg:
-				// Read the source's sets before setPtr: when Dst == Val.Reg
-				// (a self-move) setPtr would otherwise drop them.
-				mv := get(in.Val.Reg).clone()
-				recs, recsOK := st.recs[in.Val.Reg]
-				labs, labsOK := st.labs[in.Val.Reg]
-				pt, ptOK := st.pair[in.Val.Reg]
-				setPtr(in.Dst, mv)
-				if recsOK {
-					st.recs[in.Dst] = recs
-				}
-				if labsOK {
-					st.labs[in.Dst] = labs
-				}
-				if ptOK {
-					st.pair[in.Dst] = pt
-				}
+				// A move copies every fact of the source register.
+				*reg(in.Dst) = *reg(in.Val.Reg)
 			case tpal.OperLabel:
-				setPtr(in.Dst, provNone())
-				st.labs[in.Dst] = labOf(in.Val.Label)
+				setPtr(in.Dst, provNone()).labs = lOf(in.Val.Label)
 			default:
 				setPtr(in.Dst, provNone())
 			}
@@ -1120,18 +961,18 @@ func (w *walker) replay(b *tpal.Block, start int, st *branchState) {
 				// Note the branch's fork shape for emitJoin: an in-branch
 				// fork creates the edge that can keep control parallel
 				// past a join on the analyzed fork's own record.
-				if st.pair[in.Src] != pairNo {
+				pt := reg(in.Src).pair
+				if pt != pairNo {
 					w.sawPairFork = true
 				}
-				if st.pair[in.Src] != pairMust {
+				if pt != pairMust {
 					w.sawOtherFork = true
 				}
 			}
 			w.emitTarget(in.Val, st)
 
 		case tpal.IJrAlloc:
-			setPtr(in.Dst, provNone())
-			st.recs[in.Dst] = labOf(in.Lbl)
+			setPtr(in.Dst, provNone()).recs = lOf(in.Lbl)
 
 		case tpal.ISNew:
 			setPtr(in.Dst, provNew(stackID{Block: b.Label, Instr: i}))
@@ -1140,31 +981,31 @@ func (w *walker) replay(b *tpal.Block, start int, st *branchState) {
 			base := get(in.Src)
 			w.record(b, i, accStruct, 0, false, st.mayPost, base)
 			if base.hasPtr() {
-				st.prov[in.Src] = base.shift(-in.Off) // new top = p.Abs + n
+				reg(in.Src).prov = base.shift(-in.Off) // new top = p.Abs + n
 			}
 
 		case tpal.ISFree:
 			base := get(in.Src)
 			w.record(b, i, accStruct, 0, false, st.mayPost, base)
 			if base.hasPtr() {
-				st.prov[in.Src] = base.shift(in.Off)
+				reg(in.Src).prov = base.shift(in.Off)
 			}
 
 		case tpal.ILoad:
 			w.record(b, i, accRead, in.Off, true, st.mayPost, get(in.Src))
+			loaded := provNone()
 			if w.facts.escaped {
-				setPtr(in.Dst, provTop())
-			} else {
-				setPtr(in.Dst, provNone())
+				loaded = provTop()
 			}
+			d := setPtr(in.Dst, loaded)
 			if w.rf.escaped {
-				st.recs[in.Dst] = labTop()
+				d.recs = lTop()
 				// A record loaded after some record escaped may be the
 				// fork's own.
-				st.pair[in.Dst] = pairMay
+				d.pair = pairMay
 			}
 			if w.lf.escaped {
-				st.labs[in.Dst] = labTop()
+				d.labs = lTop()
 			}
 
 		case tpal.IStore:

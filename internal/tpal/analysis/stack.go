@@ -27,7 +27,7 @@ func (it *interp) checkBounds(b *tpal.Block, i int, base absVal, off int64, st *
 	if !ok || !base.deltaOK {
 		return
 	}
-	h, known := st.heights[id]
+	h, known := st.heights.get(id)
 	if !known {
 		return
 	}
@@ -41,45 +41,16 @@ func (it *interp) checkBounds(b *tpal.Block, i int, base absVal, off int64, st *
 // salloc/sfree: a pointer to the (new) top of the same stack.
 func resultPtr(base absVal) absVal {
 	v := absVal{mayDef: true, kinds: kPtr, ptrs: base.ptrs, deltaOK: true}
-	if !v.ptrs.top && len(v.ptrs.elems) == 0 {
+	if v.ptrs.empty() {
 		v.ptrs = sTop()
 	}
 	return v
 }
 
-// forgetHeights drops height knowledge for the named stacks (all of
-// them when the set is top).
-func forgetHeights(st *state, sids sidset) {
-	if sids.top {
-		for id := range st.heights {
-			delete(st.heights, id)
-		}
-		return
-	}
-	for id := range sids.elems {
-		delete(st.heights, id)
-	}
-}
-
-// forgetMarks drops mark-count knowledge for the named stacks.
-func forgetMarks(st *state, sids sidset) {
-	if sids.top {
-		for id := range st.marks {
-			delete(st.marks, id)
-		}
-		return
-	}
-	for id := range sids.elems {
-		delete(st.marks, id)
-	}
-}
-
 // clearProven drops every prmempty-guard proof: a mark was consumed or
 // may have been, so non-emptiness is no longer established.
 func clearProven(st *state) {
-	for r := range st.proven {
-		delete(st.proven, r)
-	}
+	clear(st.proven)
 }
 
 // invalidateDeltas forgets the top-distance of every pointer register
@@ -87,22 +58,14 @@ func clearProven(st *state) {
 // The register performing the operation is exempt (its new delta is
 // set by the caller).
 func invalidateDeltas(st *state, sids sidset, except tpal.Reg) {
-	for r, v := range st.regs {
-		if r == except || v.kinds&kPtr == 0 || !v.deltaOK {
+	skip := st.ix.of(except)
+	for i := range st.regs {
+		v := &st.regs[i]
+		if i == skip || v.kinds&kPtr == 0 || !v.deltaOK {
 			continue
 		}
-		overlap := sids.top || v.ptrs.top
-		if !overlap {
-			for id := range v.ptrs.elems {
-				if sids.elems[id] {
-					overlap = true
-					break
-				}
-			}
-		}
-		if overlap {
+		if sids.top() || v.ptrs.top() || v.ptrs.intersects(sids) {
 			v.deltaOK = false
-			st.regs[r] = v
 		}
 	}
 }
@@ -111,15 +74,15 @@ func (it *interp) execSAlloc(b *tpal.Block, i int, st *state) {
 	in := b.Instrs[i]
 	base := it.checkBase(b, i, in.Src, st, "salloc")
 	if id, ok := base.ptrs.only(); ok {
-		if h, known := st.heights[id]; known && base.deltaOK {
+		if h, known := st.heights.get(id); known && base.deltaOK {
 			// The machine allocates relative to the pointer, not the
 			// current top: newTop = p.Abs + n.
-			st.heights[id] = h + in.Off - base.delta
+			st.heights.set(id, h+in.Off-base.delta)
 		} else {
-			delete(st.heights, id)
+			st.heights.del(id)
 		}
 	} else {
-		forgetHeights(st, base.ptrs)
+		st.heights.forget(base.ptrs)
 	}
 	invalidateDeltas(st, base.ptrs, in.Src)
 	clearProven(st)
@@ -130,21 +93,21 @@ func (it *interp) execSFree(b *tpal.Block, i int, st *state) {
 	in := b.Instrs[i]
 	base := it.checkBase(b, i, in.Src, st, "sfree")
 	if id, ok := base.ptrs.only(); ok {
-		h, known := st.heights[id]
+		h, known := st.heights.get(id)
 		if known && base.deltaOK {
 			nh := h - base.delta - in.Off
 			if nh < 0 {
 				it.report(Error, CodeSfreeBelowBase, b, i, "sfree of %d cells reaches %d cells below the stack base (pointer %d below top, %d live cells); the machine faults here",
 					in.Off, -nh, base.delta, h)
-				delete(st.heights, id)
+				st.heights.del(id)
 			} else {
-				st.heights[id] = nh
+				st.heights.set(id, nh)
 			}
 		} else {
-			delete(st.heights, id)
+			st.heights.del(id)
 		}
 	} else {
-		forgetHeights(st, base.ptrs)
+		st.heights.forget(base.ptrs)
 	}
 	invalidateDeltas(st, base.ptrs, in.Src)
 	clearProven(st)

@@ -80,9 +80,12 @@ func Analyze(p *tpal.Program, opts Options) *Report {
 	g := BuildCFG(p)
 	r.Diags = append(r.Diags, cfgChecks(p, g)...)
 
+	// One register index serves every abstract state below.
+	ix := newRegIndex(p, opts.EntryRegs)
+
 	// Phase 3: the abstract interpretation, which also records the
 	// flow-sharpened edge set and the set of blocks it reached.
-	flowDiags, sharp, reached := flowChecks(p, g, opts)
+	flowDiags, sharp, reached := flowChecks(p, g, ix, opts)
 	r.Diags = append(r.Diags, flowDiags...)
 
 	// Phases 4 and 5 run on the sharpened edges: the cost graph keeps
@@ -102,7 +105,7 @@ func Analyze(p *tpal.Program, opts Options) *Report {
 	for _, l := range r.AllLoops() {
 		headers[l.Header] = true
 	}
-	fix := intervalPass(p, cg, headers)
+	fix := intervalPass(p, cg, ix, headers)
 	var tripDiags []Diag
 	r.Trips, tripDiags = tripPass(p, cg, fix, idom, r.Loops, opts)
 	r.Diags = append(r.Diags, tripDiags...)
@@ -123,7 +126,7 @@ func Analyze(p *tpal.Program, opts Options) *Report {
 	// Phase 6 (opt-in): the static interference pass, fork-by-fork over
 	// the same sharpened edge set.
 	if opts.Races {
-		r.Diags = append(r.Diags, racePass(p, sharp, reached, opts.EntryRegs)...)
+		r.Diags = append(r.Diags, racePass(p, ix, sharp, reached, opts.EntryRegs)...)
 	}
 
 	sortDiags(p, r.Diags)
@@ -187,8 +190,8 @@ func cfgChecks(p *tpal.Program, g *CFG) []Diag {
 // register-indirect transfers contribute only the labels the fixpoint
 // proved the register can hold. Blocks the analysis never reaches are
 // dead code: they get no flow diagnostics and no edges.
-func flowChecks(p *tpal.Program, g *CFG, opts Options) ([]Diag, []Edge, map[tpal.Label]bool) {
-	it := newInterp(p, g, opts)
+func flowChecks(p *tpal.Program, g *CFG, ix *regIndex, opts Options) ([]Diag, []Edge, map[tpal.Label]bool) {
+	it := &interp{p: p, g: g, opts: opts, ix: ix}
 	states := Solve(p, Dataflow[*state]{
 		Clone: func(s *state) *state { return s.clone() },
 		Merge: func(dst, src *state) bool { return dst.mergeInto(src) },
@@ -215,7 +218,7 @@ func flowChecks(p *tpal.Program, g *CFG, opts Options) ([]Diag, []Edge, map[tpal
 			continue
 		}
 		reached[b.Label] = true
-		it.transfer(b, st.clone(), drop)
+		it.transfer(b, st, drop)
 	}
 	it.diags = nil
 	it.rec = nil

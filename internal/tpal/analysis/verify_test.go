@@ -7,6 +7,7 @@ import (
 	"tpal/internal/tpal"
 	"tpal/internal/tpal/analysis"
 	"tpal/internal/tpal/asm"
+	"tpal/internal/tpal/programs"
 )
 
 func verifySrc(t *testing.T, src string, entry ...tpal.Reg) []analysis.Diag {
@@ -384,5 +385,21 @@ func TestHasErrorsAndErrors(t *testing.T) {
 	}
 	if analysis.HasErrors(diags[:1]) {
 		t.Error("HasErrors = true for warnings only")
+	}
+}
+
+// TestAnalyzeEntryRegsOutsideProgram checks that entry registers a
+// program never names, or an empty name, change nothing: every pass
+// holds registers in the slots of one per-program index, and the
+// interference pass seeds its label facts from the entry registers.
+func TestAnalyzeEntryRegsOutsideProgram(t *testing.T) {
+	for name, p := range programs.All() {
+		entry := corpusEntryRegs[name]
+		want := analysis.VerifyWith(p, analysis.Options{EntryRegs: entry, Races: true})
+		extra := append([]tpal.Reg{"", "unused"}, entry...)
+		got := analysis.VerifyWith(p, analysis.Options{EntryRegs: extra, Races: true})
+		if diagDump(got) != diagDump(want) {
+			t.Errorf("%s: with extra entry registers:\n%s\nwithout:\n%s", name, diagDump(got), diagDump(want))
+		}
 	}
 }

@@ -143,87 +143,113 @@ func satMul(a, b int64) int64 {
 	return a * b
 }
 
+// Expressions are DAGs, not trees: the cost pass memoizes each
+// condensation node's span and every predecessor shares it, so a chain
+// of diamonds reaches one node along exponentially many paths. Every
+// walk below therefore visits each node once, memoized by pointer.
+
 // Eval evaluates the expression under a trip-count valuation and a
 // concrete τ, saturating instead of overflowing. A nil trips treats
 // every trip count as zero.
 func (e *Expr) Eval(trips map[tpal.Label]int64, tau int64) int64 {
-	if e == nil {
-		return 0
-	}
-	switch e.Kind {
-	case ExprConst:
-		return e.K
-	case ExprTau:
-		return tau
-	case ExprTrip:
-		return trips[e.Loop]
-	case ExprAdd:
-		var s int64
-		for _, a := range e.Args {
-			s = satAdd(s, a.Eval(trips, tau))
+	memo := make(map[*Expr]int64)
+	var eval func(*Expr) int64
+	eval = func(e *Expr) int64 {
+		if e == nil {
+			return 0
 		}
-		return s
-	case ExprMul:
-		s := int64(1)
-		for _, a := range e.Args {
-			s = satMul(s, a.Eval(trips, tau))
+		switch e.Kind {
+		case ExprConst:
+			return e.K
+		case ExprTau:
+			return tau
+		case ExprTrip:
+			return trips[e.Loop]
 		}
-		return s
-	case ExprMax:
+		if s, ok := memo[e]; ok {
+			return s
+		}
 		var s int64
-		for _, a := range e.Args {
-			if v := a.Eval(trips, tau); v > s {
-				s = v
+		switch e.Kind {
+		case ExprAdd:
+			for _, a := range e.Args {
+				s = satAdd(s, eval(a))
+			}
+		case ExprMul:
+			s = 1
+			for _, a := range e.Args {
+				s = satMul(s, eval(a))
+			}
+		case ExprMax:
+			for _, a := range e.Args {
+				if v := eval(a); v > s {
+					s = v
+				}
 			}
 		}
+		memo[e] = s
 		return s
 	}
-	return 0
+	return eval(e)
 }
 
 // Subst replaces every trip leaf that has a valuation with its
 // constant, rebuilding through the folding constructors so the result
 // is fully folded. Trip leaves without a valuation stay symbolic; a
-// nil receiver stays nil.
+// nil receiver stays nil. A node shared in e is shared in the result.
 func (e *Expr) Subst(vals map[tpal.Label]int64) *Expr {
-	if e == nil {
-		return nil
-	}
-	switch e.Kind {
-	case ExprTrip:
-		if v, ok := vals[e.Loop]; ok {
-			return eConst(v)
-		}
-	case ExprAdd, ExprMul, ExprMax:
-		args := make([]*Expr, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = a.Subst(vals)
+	memo := make(map[*Expr]*Expr)
+	var subst func(*Expr) *Expr
+	subst = func(e *Expr) *Expr {
+		if e == nil {
+			return nil
 		}
 		switch e.Kind {
-		case ExprAdd:
-			return eAdd(args...)
-		case ExprMax:
-			return eMax(args...)
+		case ExprTrip:
+			if v, ok := vals[e.Loop]; ok {
+				return eConst(v)
+			}
+			return e
+		case ExprAdd, ExprMul, ExprMax:
 		default:
-			r := args[0]
+			return e
+		}
+		if r, ok := memo[e]; ok {
+			return r
+		}
+		args := make([]*Expr, len(e.Args))
+		for i, a := range e.Args {
+			args[i] = subst(a)
+		}
+		var r *Expr
+		switch e.Kind {
+		case ExprAdd:
+			r = eAdd(args...)
+		case ExprMax:
+			r = eMax(args...)
+		default:
+			r = args[0]
 			for _, a := range args[1:] {
 				r = eMul(r, a)
 			}
-			return r
 		}
+		memo[e] = r
+		return r
 	}
-	return e
+	return subst(e)
 }
 
 // Trips returns the set of loop headers the expression mentions, in
 // sorted order.
 func (e *Expr) Trips() []tpal.Label {
 	set := make(map[tpal.Label]bool)
+	seen := make(map[*Expr]bool)
 	var walk func(*Expr)
 	walk = func(x *Expr) {
-		if x == nil {
+		if x == nil || seen[x] {
 			return
 		}
+		seen[x] = true
 		if x.Kind == ExprTrip {
 			set[x.Loop] = true
 		}

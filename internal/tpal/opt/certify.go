@@ -1,7 +1,9 @@
 package opt
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tpal/internal/tpal"
 	"tpal/internal/tpal/analysis"
@@ -46,6 +48,9 @@ type diagKey struct {
 	sev  analysis.Severity
 }
 
+// certifyDiags reports the first over-counted (code, severity) pair in
+// sorted order, so the rejection text — which surfaces in TP081/TP082
+// notes — is the same on every run.
 func certifyDiags(before, after []analysis.Diag) error {
 	count := func(ds []analysis.Diag) map[diagKey]int {
 		m := make(map[diagKey]int)
@@ -54,13 +59,20 @@ func certifyDiags(before, after []analysis.Diag) error {
 		}
 		return m
 	}
-	was := count(before)
-	for k, n := range count(after) {
+	was, now := count(before), count(after)
+	var grew []diagKey
+	for k, n := range now {
 		if n > was[k] {
-			return fmt.Errorf("new diagnostics: %d×%s %s (input had %d)", n, k.sev, k.code, was[k])
+			grew = append(grew, k)
 		}
 	}
-	return nil
+	if len(grew) == 0 {
+		return nil
+	}
+	k := slices.MinFunc(grew, func(a, b diagKey) int {
+		return cmp.Or(cmp.Compare(a.code, b.code), cmp.Compare(a.sev, b.sev))
+	})
+	return fmt.Errorf("new diagnostics: %d×%s %s (input had %d)", now[k], k.sev, k.code, was[k])
 }
 
 // latencyRank orders latency classes from best to worst; Unknown ranks

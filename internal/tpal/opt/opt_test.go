@@ -304,3 +304,23 @@ func mutateProgram(p *tpal.Program, kind, blockIdx, instrIdx uint8) {
 		}
 	}
 }
+
+// TestOptimizeTableDeterministic pins the optimizer's report across
+// runs: a rejected prppt removal that would surface several new
+// diagnostic kinds names the first in sorted order, not in map order
+// (removing pow's loop prppt adds both a TP050 and a TP052).
+func TestOptimizeTableDeterministic(t *testing.T) {
+	var want string
+	for i := 0; i < 20; i++ {
+		res, err := opt.Optimize(programs.Pow(), opt.Options{EntryRegs: []tpal.Reg{"d", "e"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Table()
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d renders a different table:\n%s\nrun 0:\n%s", i, got, want)
+		}
+	}
+}

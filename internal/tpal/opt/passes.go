@@ -176,10 +176,11 @@ func passPrppt(p *tpal.Program, c *optCtx) (*tpal.Program, int, []analysis.Diag)
 
 		var code analysis.Code
 		var why string
+		diagErr := certifyDiags(cur.Diags, cand.Diags)
 		switch {
-		case certifyDiags(cur.Diags, cand.Diags) != nil:
+		case diagErr != nil:
 			code, why = analysis.CodeOptPrpptGrade,
-				fmt.Sprintf("removal would surface new diagnostics: %v", certifyDiags(cur.Diags, cand.Diags))
+				fmt.Sprintf("removal would surface new diagnostics: %v", diagErr)
 		case latencyRank(cand.Latency.Class) > latencyRank(cur.Latency.Class),
 			cand.Latency.Class == analysis.LatencyUnbounded:
 			code, why = analysis.CodeOptPrpptGrade,

@@ -53,22 +53,22 @@ func (p *Program) Issues() []Issue {
 		at := func(i int, format string, args ...any) {
 			issues = append(issues, Issue{Block: b.Label, Instr: i, Msg: fmt.Sprintf(format, args...)})
 		}
-		checkLabel := func(i int, what string, l Label) {
+		checkLabel := func(i int, what subject, l Label) {
 			if p.Block(l) == nil {
 				at(i, "%s references undefined label %q", what, l)
 			}
 		}
-		checkReg := func(i int, what string, r Reg) {
+		checkReg := func(i int, what subject, r Reg) {
 			if r == "" {
 				at(i, "%s names no register", what)
 			}
 		}
 		// Operand in a value position: registers must be named; labels
 		// must be defined; literals are always fine.
-		checkVal := func(i int, what string, o Operand) {
+		checkVal := func(i int, what subject, o Operand) {
 			switch o.Kind {
 			case OperReg:
-				checkReg(i, what+" register operand", o.Reg)
+				checkReg(i, what.and(" register operand"), o.Reg)
 			case OperLabel:
 				checkLabel(i, what, o.Label)
 			case OperInt:
@@ -80,9 +80,9 @@ func (p *Program) Issues() []Issue {
 		switch b.Ann.Kind {
 		case AnnNone:
 		case AnnPrppt:
-			checkLabel(IssueBlock, "prppt annotation", b.Ann.Handler)
+			checkLabel(IssueBlock, subject{name: "prppt annotation"}, b.Ann.Handler)
 		case AnnJtppt:
-			checkLabel(IssueBlock, "jtppt annotation", b.Ann.Comb)
+			checkLabel(IssueBlock, subject{name: "jtppt annotation"}, b.Ann.Comb)
 			seen := make(map[Reg]bool)
 			for _, rr := range b.Ann.DeltaR {
 				if rr.From == "" || rr.To == "" {
@@ -98,65 +98,65 @@ func (p *Program) Issues() []Issue {
 		}
 
 		for i, in := range b.Instrs {
-			what := fmt.Sprintf("(%s)", in)
+			what := subject{b: b, instr: i}
 			switch in.Kind {
 			case IMove:
-				checkReg(i, what+" destination", in.Dst)
+				checkReg(i, what.and(" destination"), in.Dst)
 				checkVal(i, what, in.Val)
 			case IBinOp:
-				checkReg(i, what+" destination", in.Dst)
-				checkReg(i, what+" left operand", in.Src)
+				checkReg(i, what.and(" destination"), in.Dst)
+				checkReg(i, what.and(" left operand"), in.Src)
 				checkVal(i, what, in.Val)
 				if _, ok := opNames[in.Op]; !ok {
 					at(i, "%s uses unknown operator %d", what, uint8(in.Op))
 				}
 			case IIfJump:
-				checkReg(i, what+" condition", in.Src)
+				checkReg(i, what.and(" condition"), in.Src)
 				if in.Val.Kind == OperInt {
 					at(i, "%s target is the integer literal %d, which can never name a block", what, in.Val.Int)
 				} else {
 					checkVal(i, what, in.Val)
 				}
 			case IJrAlloc:
-				checkReg(i, what+" destination", in.Dst)
+				checkReg(i, what.and(" destination"), in.Dst)
 				checkLabel(i, what, in.Lbl)
 			case IFork:
-				checkReg(i, what+" join register", in.Src)
+				checkReg(i, what.and(" join register"), in.Src)
 				if in.Val.Kind == OperInt {
 					at(i, "%s target is the integer literal %d, which can never name a block", what, in.Val.Int)
 				} else {
 					checkVal(i, what, in.Val)
 				}
 			case ISNew:
-				checkReg(i, what+" destination", in.Dst)
+				checkReg(i, what.and(" destination"), in.Dst)
 			case ISAlloc, ISFree:
-				checkReg(i, what+" stack register", in.Src)
+				checkReg(i, what.and(" stack register"), in.Src)
 				if in.Off < 0 {
 					at(i, "%s has negative cell count %d", what, in.Off)
 				}
 			case ILoad:
-				checkReg(i, what+" destination", in.Dst)
-				checkReg(i, what+" base register", in.Src)
+				checkReg(i, what.and(" destination"), in.Dst)
+				checkReg(i, what.and(" base register"), in.Src)
 				if in.Off < 0 {
 					at(i, "%s has negative offset %d", what, in.Off)
 				}
 			case IStore:
-				checkReg(i, what+" base register", in.Src)
+				checkReg(i, what.and(" base register"), in.Src)
 				checkVal(i, what, in.Val)
 				if in.Off < 0 {
 					at(i, "%s has negative offset %d", what, in.Off)
 				}
 			case IPrmPush, IPrmPop:
-				checkReg(i, what+" base register", in.Src)
+				checkReg(i, what.and(" base register"), in.Src)
 				if in.Off < 0 {
 					at(i, "%s has negative offset %d", what, in.Off)
 				}
 			case IPrmEmpty:
-				checkReg(i, what+" destination", in.Dst)
-				checkReg(i, what+" stack register", in.Src2)
+				checkReg(i, what.and(" destination"), in.Dst)
+				checkReg(i, what.and(" stack register"), in.Src2)
 			case IPrmSplit:
-				checkReg(i, what+" stack register", in.Src)
-				checkReg(i, what+" offset register", in.Src2)
+				checkReg(i, what.and(" stack register"), in.Src)
+				checkReg(i, what.and(" offset register"), in.Src2)
 			default:
 				at(i, "unknown instruction kind %d", in.Kind)
 			}
@@ -168,13 +168,13 @@ func (p *Program) Issues() []Issue {
 			if b.Term.Val.Kind == OperInt {
 				at(ti, "jump target is the integer literal %d, which can never name a block", b.Term.Val.Int)
 			} else {
-				checkVal(ti, "jump terminator", b.Term.Val)
+				checkVal(ti, subject{name: "jump terminator"}, b.Term.Val)
 			}
 		case THalt:
 		case TJoin:
 			switch b.Term.Val.Kind {
 			case OperReg:
-				checkReg(ti, "join terminator", b.Term.Val.Reg)
+				checkReg(ti, subject{name: "join terminator"}, b.Term.Val.Reg)
 			case OperLabel:
 				at(ti, "join operand %q is a label; a label can never hold a join record", b.Term.Val.Label)
 			case OperInt:
@@ -185,6 +185,29 @@ func (p *Program) Issues() []Issue {
 		}
 	}
 	return issues
+}
+
+// subject names what an issue is about — an instruction, rendered as
+// "(instr)", or a fixed name — plus an optional operand phrase. It is
+// formatted only when an issue is actually reported, so validating a
+// clean program renders nothing.
+type subject struct {
+	b     *Block
+	instr int
+	name  string
+	tail  string
+}
+
+func (s subject) and(tail string) subject {
+	s.tail = tail
+	return s
+}
+
+func (s subject) String() string {
+	if s.b == nil {
+		return s.name + s.tail
+	}
+	return fmt.Sprintf("(%s)%s", s.b.Instrs[s.instr], s.tail)
 }
 
 // Validate performs the structural checks of Issues and returns a

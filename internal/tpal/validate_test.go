@@ -199,3 +199,19 @@ func TestIssuesCleanPrograms(t *testing.T) {
 		t.Fatalf("Validate() = %v", err)
 	}
 }
+
+// TestIssuesCleanProgramAllocatesNothing pins that an issue's subject
+// is formatted only when an issue is reported: every analysis starts by
+// validating, and clean programs are the common case.
+func TestIssuesCleanProgramAllocatesNothing(t *testing.T) {
+	var instrs []Instr
+	for i := 0; i < 20; i++ {
+		instrs = append(instrs,
+			Instr{Kind: IBinOp, Dst: "r", Src: "r", Op: OpAdd, Val: R("r")},
+			Instr{Kind: IIfJump, Src: "r", Val: L("a")})
+	}
+	p := oneBlock(halt(), Annotation{}, instrs...)
+	if n := testing.AllocsPerRun(20, func() { p.Issues() }); n != 0 {
+		t.Fatalf("Issues() on a clean program allocates %.0f times, want 0", n)
+	}
+}
