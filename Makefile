@@ -26,8 +26,8 @@ race-test:
 # blocking), DRR fairness across all tenants, singleflight dedup, job
 # retention, budget and deadline enforcement, drain, the HTTP E2E
 # batch, the SSE event stream, and the 10k-job many-tenant correctness
-# burst on both backends (which fails if a job does not complete or no
-# singleflight collapse was observed; it writes no file).
+# burst (which fails if a job does not complete or no singleflight
+# collapse was observed; it writes no file).
 serve-test:
 	$(GO) test -race ./internal/serve ./cmd/tpal-serve
 
@@ -42,17 +42,16 @@ autopar-test:
 	$(GO) test -race ./cmd/tpal-lint -run Autopar
 
 # compile-test runs the engine and both of its lowerings under the Go
-# race detector: the closure-threaded backend's differential-oracle
+# race detector: the closure-threaded lowering's differential-oracle
 # suite (the corpus, minipar samples, fault paths, budget/cancellation
-# cuts, and the backend seam, every case cross-checked against the
-# interpreter lowering across the schedule matrix — lockstep,
-# random-order seeds, depth-first, signal-period splits),
+# cuts, every case cross-checked against the interpreter lowering
+# across the schedule matrix — lockstep, random-order seeds,
+# depth-first, signal-period splits),
 # TestSchedulerGolden holding both lowerings to the scheduler digests
 # in machine/testdata/sched_golden.json, and the machine package's own
 # suite.
 compile-test:
 	$(GO) test -race ./internal/tpal/machine/compile ./internal/tpal/machine
-	$(GO) test -race ./internal/serve -run CompiledBackend
 
 # lint runs the static TPAL verifier — including the interference
 # (determinacy-race) pass — over the built-in corpus and every

@@ -74,8 +74,10 @@ func BenchmarkAblationPromotionPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHeartbeatSweep sweeps ♥, the amortization/parallelism
-// trade-off the tuner (cmd/tpal-tune) automates.
+// BenchmarkAblationHeartbeatSweep sweeps ♥ on one worker: the
+// amortization/parallelism trade-off behind the paper's one-time,
+// per-machine choice of ♥ (the smallest ♥ whose overhead over serial
+// stays small).
 func BenchmarkAblationHeartbeatSweep(b *testing.B) {
 	bm := setupBench(b, "plus-reduce-array")
 	for _, hb := range []time.Duration{20, 50, 100, 200, 400} {

@@ -50,7 +50,7 @@ import (
 	"tpal/internal/tpal"
 	"tpal/internal/tpal/asm"
 	"tpal/internal/tpal/machine"
-	_ "tpal/internal/tpal/machine/compile" // link the compiled backend
+	"tpal/internal/tpal/machine/compile"
 	"tpal/internal/tpal/opt"
 	"tpal/internal/tpal/programs"
 )
@@ -143,12 +143,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		RaceDetect:   *race,
 		Regs:         make(machine.RegFile),
 	}
-	be, err := machine.ParseBackend(*backend)
-	if err != nil {
-		fmt.Fprintln(stderr, "tpal-run:", err)
+	var runProg func(*tpal.Program, machine.Config) (machine.Result, error)
+	switch *backend {
+	case "interp":
+		runProg = machine.Run
+	case "compiled":
+		runProg = compile.Run
+	default:
+		fmt.Fprintf(stderr, "tpal-run: unknown backend %q (want interp or compiled)\n", *backend)
 		return exitUsage
 	}
-	cfg.Backend = be
 	switch *schedule {
 	case "lockstep":
 		cfg.Schedule = machine.Lockstep
@@ -187,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Context = ctx
 	}
 
-	res, err := machine.RunBackend(prog, cfg)
+	res, err := runProg(prog, cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "tpal-run:", err)
 		switch {

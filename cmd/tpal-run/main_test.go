@@ -144,3 +144,18 @@ func TestBuiltinStillRuns(t *testing.T) {
 		t.Errorf("stdout %q does not report c = 42", out)
 	}
 }
+
+// TestBackendFlag runs the closure-threaded lowering through -backend
+// and holds the flag's spelling: an unknown lowering is a usage error.
+func TestBackendFlag(t *testing.T) {
+	code, out, errOut := runTool(t, "-backend", "compiled", "-builtin", "prod", "-reg", "a=21,b=2", "-out", "c")
+	if code != exitOK {
+		t.Fatalf("exit code = %d, want %d; stderr: %s", code, exitOK, errOut)
+	}
+	if !strings.Contains(out, "c = 42") {
+		t.Errorf("stdout %q does not report c = 42", out)
+	}
+	if code, _, _ := runTool(t, "-backend", "bogus", "-builtin", "prod"); code != exitUsage {
+		t.Errorf("-backend bogus: exit code = %d, want %d", code, exitUsage)
+	}
+}

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"tpal/internal/serve"
-	"tpal/internal/tpal/machine"
 )
 
 const (
@@ -77,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		timeout      = fs.Duration("timeout", 10*time.Second, "default per-job wall-clock deadline")
 		maxTimeout   = fs.Duration("max-timeout", 60*time.Second, "ceiling on client-requested deadlines")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on shutdown")
-		backendName  = fs.String("backend", "interp", "execution backend for admitted jobs: interp or compiled")
 	)
 	fs.Usage = func() {
 		fmt.Fprint(stderr, "usage: tpal-serve [flags]\n\n")
@@ -89,12 +87,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "tpal-serve: unexpected arguments %q\n", fs.Args())
 		fs.Usage()
-		return exitUsage
-	}
-
-	backend, err := machine.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintf(stderr, "tpal-serve: %v\n", err)
 		return exitUsage
 	}
 
@@ -112,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		QuoteMargin:    *quoteMargin,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		Backend:        backend,
 	})
 
 	srv := &http.Server{

@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"tpal/internal/tpal"
-	"tpal/internal/tpal/machine"
 	"tpal/internal/tpal/programs"
 )
 
@@ -126,28 +125,24 @@ func paramArgs(src string) map[string]int64 {
 	return args
 }
 
-// admissionDigest submits one case to a fresh single-worker service on
-// each backend and hashes everything the admission decided and the run
-// produced: the submission error or the job's status, reason and
-// rejection diagnostics; the cached verdict's diagnostics; the quote;
-// the fingerprint of the program the executor ran; the autopar report;
-// the result registers and stats; and, on the compiled backend, the
-// checks the lowering hoisted. For non-autopar cases it then hashes the
-// /v1/analyze response for the same program and argument registers,
-// which carries the submitted program's latency and bounds.
+// admissionDigest submits one case to a fresh single-worker service and
+// hashes everything the admission decided and the run produced: the
+// submission error or the job's status, reason and rejection
+// diagnostics; the cached verdict's diagnostics; the quote; the
+// fingerprint of the program the executor ran; the autopar report; and
+// the result registers and stats. For non-autopar cases it then hashes
+// the /v1/analyze response for the same program and argument
+// registers, which carries the submitted program's latency and bounds.
 func admissionDigest(t *testing.T, c admissionCase) string {
 	t.Helper()
 	h := sha256.New()
-	for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
-		fmt.Fprintf(h, "backend %s\n", backend)
-		admissionRun(t, h, c, backend)
-	}
+	admissionRun(t, h, c)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func admissionRun(t *testing.T, h hash.Hash, c admissionCase, backend machine.Backend) {
+func admissionRun(t *testing.T, h hash.Hash, c admissionCase) {
 	t.Helper()
-	s := New(Config{Workers: 1, Backend: backend})
+	s := New(Config{Workers: 1})
 	defer s.Drain(context.Background())
 	ran := make(chan string, 1)
 	s.setRunningHook(func(j *Job) { ran <- tpal.Fingerprint(j.prog) })
@@ -180,9 +175,6 @@ func admissionRun(t *testing.T, h hash.Hash, c admissionCase, backend machine.Ba
 	hashJSON(t, h, "autopar", v.Autopar)
 	hashJSON(t, h, "result", v.Result)
 	hashJSON(t, h, "stats", v.Stats)
-	if backend == machine.BackendCompiled {
-		fmt.Fprintf(h, "hoisted %d\n", s.Snapshot().ChecksHoisted)
-	}
 
 	if !c.req.AutoParallelize {
 		var entry []string
@@ -210,11 +202,10 @@ func hashJSON(t *testing.T, h hash.Hash, label string, v any) {
 }
 
 // TestAdmissionGolden holds what the daemon decides and runs for 55
-// submissions, on both backends, to digests recorded at commit db10dcd,
-// where every program was certified up to four times on its way in
-// (compile-time verification, the compiler's optimizer, admission's own
-// analysis and optimizer, and the compiled backend's analysis). The
-// digests were generated there with
+// submissions to digests recorded at commit 7555f6d, the last commit
+// whose daemon could also run jobs on the compiled lowering. The digests
+// were generated there, hashing the default (interpreter) daemon only,
+// with
 //
 //	go test ./internal/serve -run TestAdmissionGolden -update
 //

@@ -2,16 +2,20 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"tpal/internal/minipar"
+	"tpal/internal/tpal"
 	"tpal/internal/tpal/machine"
+	"tpal/internal/tpal/machine/compile"
 	"tpal/internal/tpal/programs"
 )
 
@@ -183,17 +187,24 @@ func TestRejectedSubmissionPastRetentionIs422(t *testing.T) {
 // admission by the same entry-register set, each register once, and the
 // endpoint's report is the one admission took its verdict from. A
 // program analyzed with a duplicated entry name and then submitted with
-// that name as an argument is admitted once and hit once. On the
-// compiled backend the lowering is made once, by whichever call fills
-// the entry (here /v1/analyze), and the submission counts as a cache hit.
+// that name as an argument is admitted once and hit once. Each subtest
+// then runs the program admission handed the executor on one lowering,
+// called directly, and must reproduce the daemon's register file.
 func TestAnalyzeThenSubmitSharesOneAdmission(t *testing.T) {
 	src, err := os.ReadFile("../minipar/testdata/sumsquares.mp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
-		t.Run(backend.String(), func(t *testing.T) {
-			s := newTestService(t, Config{Workers: 1, Backend: backend})
+	lowerings := []struct {
+		name string
+		run  func(*tpal.Program, machine.Config) (machine.Result, error)
+	}{
+		{"interp", machine.Run},
+		{"compiled", compile.Run},
+	}
+	for _, low := range lowerings {
+		t.Run(low.name, func(t *testing.T) {
+			s := newTestService(t, Config{Workers: 1})
 			srv := httptest.NewServer(s.Handler())
 			defer srv.Close()
 			c := &httpClient{t: t, base: srv.URL}
@@ -208,25 +219,89 @@ func TestAnalyzeThenSubmitSharesOneAdmission(t *testing.T) {
 			if !ar.Admissible || ar.Work == "" || ar.Quote == nil {
 				t.Fatalf("analyze response is missing its verdict or report: %s", body)
 			}
-			j, err := s.Submit(SubmitRequest{Lang: "minipar", Source: string(src), Args: map[string]int64{"n": 4}})
+			req := SubmitRequest{Lang: "minipar", Source: string(src), Args: map[string]int64{"n": 4}}
+			j, err := s.Submit(req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v := await(t, j); v.Status != StatusDone || !reflect.DeepEqual(*v.Quote, *ar.Quote) {
-				t.Errorf("submission: status %s quote %+v, want done and the analyzed quote %+v", v.Status, v.Quote, ar.Quote)
+			v := await(t, j)
+			if v.Status != StatusDone || !reflect.DeepEqual(*v.Quote, *ar.Quote) {
+				t.Fatalf("submission: status %s quote %+v, want done and the analyzed quote %+v", v.Status, v.Quote, ar.Quote)
 			}
-			m := s.Snapshot()
-			if m.Analyses != 1 || m.AnalysisHits != 1 {
+			if m := s.Snapshot(); m.Analyses != 1 || m.AnalysisHits != 1 {
 				t.Errorf("analyses = %d, analysis hits = %d, want 1 and 1", m.Analyses, m.AnalysisHits)
 			}
-			wantCompiles := int64(0)
-			if backend == machine.BackendCompiled {
-				wantCompiles = 1
+
+			fe, err := s.loadSubmission(req)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if m.Compiles != wantCompiles || m.CompileCacheHits != wantCompiles || m.CompiledRuns != wantCompiles {
-				t.Errorf("compiles = %d, compile cache hits = %d, compiled runs = %d, want %d each",
-					m.Compiles, m.CompileCacheHits, m.CompiledRuns, wantCompiles)
+			prog := fe.prog
+			s.mu.Lock()
+			for _, el := range s.admissions.entries {
+				if opt := el.Value.(*storeEntry[*admission]).val.optimized; opt != nil {
+					prog = opt
+				}
+			}
+			s.mu.Unlock()
+			res, err := low.run(prog, machine.Config{Regs: machine.RegFile{"n": machine.IntV(4)}})
+			if err != nil {
+				t.Fatalf("%s run: %v", low.name, err)
+			}
+			if got := renderRegs(res.Regs); !reflect.DeepEqual(got, v.Result) {
+				t.Errorf("%s run gives %v, the daemon gave %v", low.name, got, v.Result)
 			}
 		})
+	}
+}
+
+// TestAdmissionCacheBounded pins the admission cache's bound: verdicts
+// are keyed by the fingerprint of untrusted input, so a tenant
+// streaming distinct programs must not grow the cache past
+// Config.ResultCacheCap, and an evicted program must re-admit with the
+// identical verdict and quote.
+func TestAdmissionCacheBounded(t *testing.T) {
+	const cacheCap = 4
+	s := newTestService(t, Config{Workers: 2, ResultCacheCap: cacheCap})
+	submit := func(i int, a int64) JobView {
+		src := strings.Replace(programs.ProdSource, "r := 0\n", fmt.Sprintf("r := 0\n  k := %d\n", i), 1)
+		j, err := s.Submit(SubmitRequest{Tenant: "stream", Source: src, Args: map[string]int64{"a": a, "b": 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := await(t, j)
+		if v.Status != StatusDone {
+			t.Fatalf("program %d: status %s (%s)", i, v.Status, v.Error)
+		}
+		return v
+	}
+
+	const distinct = 3 * cacheCap
+	first := submit(0, 5)
+	for i := 1; i < distinct; i++ {
+		submit(i, 5)
+	}
+	s.mu.Lock()
+	size := s.admissions.len()
+	s.mu.Unlock()
+	if size > cacheCap {
+		t.Fatalf("admission cache holds %d entries after %d distinct programs, cap %d", size, distinct, cacheCap)
+	}
+
+	// Program 0 was evicted long ago: it is analyzed again and must come
+	// out with the same verdict, quote, and result.
+	again := submit(0, 5)
+	if again.Cached {
+		t.Fatal("result store should have evicted program 0 as well")
+	}
+	if again.Fingerprint != first.Fingerprint || !reflect.DeepEqual(again.Quote, first.Quote) ||
+		!reflect.DeepEqual(again.Diags, first.Diags) || !reflect.DeepEqual(again.Result, first.Result) {
+		t.Fatalf("re-admission diverged:\n  first: %+v quote %+v\n  again: %+v quote %+v", first, first.Quote, again, again.Quote)
+	}
+	// Still resident now: new arguments hit the verdict.
+	submit(0, 6)
+
+	if m := s.Snapshot(); m.Analyses != distinct+1 || m.AnalysisHits != 1 {
+		t.Errorf("analyses = %d hits = %d, want %d and 1", m.Analyses, m.AnalysisHits, distinct+1)
 	}
 }

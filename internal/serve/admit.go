@@ -13,8 +13,6 @@ import (
 	"tpal/internal/tpal"
 	"tpal/internal/tpal/analysis"
 	"tpal/internal/tpal/asm"
-	"tpal/internal/tpal/machine"
-	"tpal/internal/tpal/machine/compile"
 	"tpal/internal/tpal/opt"
 )
 
@@ -117,10 +115,6 @@ type admission struct {
 	// place of the submitted one, and the program the quote prices; nil
 	// when nothing was rewritten.
 	optimized *tpal.Program
-	// compiled is the program the pool executes, lowered under
-	// analyzeOnce on the compiled backend; nil otherwise, for rejections,
-	// and after a lowering failure, which falls back to the interpreter.
-	compiled *compile.Program
 }
 
 // admitKey keys the analysis cache: the program fingerprint plus the
@@ -145,8 +139,7 @@ func admitKey(fp string, entry []tpal.Reg) string {
 // The verdict comes from one race-on analysis of p under the key's
 // entry registers, which also prices the quote when the optimizer
 // rewrites nothing; otherwise the optimizer's report of its output
-// prices it. On the compiled backend the program that runs is lowered
-// under the report of that program, so nothing analyzes it again.
+// prices it.
 //
 // It is the only function that looks up or fills the verdict cache, for
 // Submit and /v1/analyze alike. The first caller for a key claims an
@@ -173,12 +166,6 @@ func (s *Service) admit(p *tpal.Program, entry []tpal.Reg) (*admission, *analysi
 
 	var rep *analysis.Report
 	a.analyzeOnce.Do(func() { rep = s.analyze(a, p, entry) })
-	if rep != nil && a.compiled != nil {
-		s.mu.Lock()
-		s.metrics.Compiles++
-		s.metrics.ChecksHoisted += int64(a.compiled.Hoisted())
-		s.mu.Unlock()
-	}
 	return a, rep
 }
 
@@ -212,18 +199,13 @@ func (s *Service) analyze(a *admission, p *tpal.Program, entry []tpal.Reg) *anal
 	// Analyze then Optimize and holds the sum of its spans to this
 	// service's turnaround, so admission keeps that shape until the
 	// replay changes.
-	run, runReport, rewrites := p, report, 0
+	runReport, rewrites := report, 0
 	if res, err := opt.Optimize(p, opt.Options{EntryRegs: entry}); err == nil && res.Rewrites() > 0 {
 		a.optimized = res.Program
-		run, runReport, rewrites = res.Program, res.After.Report, res.Rewrites()
+		runReport, rewrites = res.After.Report, res.Rewrites()
 	}
 	a.quote = s.quote(runReport)
 	a.quote.OptRewrites = rewrites
-	if s.cfg.Backend == machine.BackendCompiled {
-		if cp, err := compile.Compile(run, compile.Options{Report: runReport}); err == nil {
-			a.compiled = cp
-		}
-	}
 	return report
 }
 

@@ -5,8 +5,6 @@ import (
 	"os"
 	"testing"
 
-	"tpal/internal/tpal/analysis"
-	"tpal/internal/tpal/machine"
 	"tpal/internal/tpal/programs"
 )
 
@@ -52,46 +50,5 @@ func BenchmarkAdmit(b *testing.B) {
 				b.StartTimer()
 			}
 		})
-	}
-}
-
-// TestCompiledAdmissionAllocs pins that the compiled backend lowers the
-// program that runs under the report admission already holds: admitting
-// on the compiled backend allocates less over admitting on the
-// interpreter than one analysis of the program does. (When the backend
-// analyzed the program again before lowering it, the difference was
-// that analysis plus the lowering.)
-func TestCompiledAdmissionAllocs(t *testing.T) {
-	src, err := os.ReadFile("../minipar/testdata/sumsquares.mp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	args := map[string]int64{"n": 5}
-	admitAllocs := func(backend machine.Backend) float64 {
-		s := newTestService(t, Config{Workers: 1, Backend: backend})
-		fe, err := s.loadSubmission(SubmitRequest{Source: string(src)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		entry := entryRegs(fe.params, args, nil)
-		return testing.AllocsPerRun(5, func() {
-			s.mu.Lock()
-			s.admissions = newLRUStore[*admission](1) // every run misses the verdict cache
-			s.mu.Unlock()
-			s.admit(fe.prog, entry)
-		})
-	}
-	lowering := admitAllocs(machine.BackendCompiled) - admitAllocs(machine.BackendInterp)
-	s := newTestService(t, Config{Workers: 1})
-	fe, err := s.loadSubmission(SubmitRequest{Source: string(src)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	analyze := testing.AllocsPerRun(5, func() {
-		analysis.Analyze(fe.prog, analysis.Options{EntryRegs: entryRegs(fe.params, args, nil)})
-	})
-	t.Logf("compiled backend: %.0f allocations over the interpreter's admission; one analysis: %.0f", lowering, analyze)
-	if lowering >= analyze {
-		t.Errorf("the compiled backend adds %.0f allocations to admission, one analysis of the program makes %.0f; it must lower under admission's report, not analyze again", lowering, analyze)
 	}
 }

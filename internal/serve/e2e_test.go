@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -315,4 +316,33 @@ func TestEndToEndMixedBatch(t *testing.T) {
 	srv.Close()
 	srv2.Close()
 	waitGoroutines(t, before)
+}
+
+// TestOversizeBodyIs413: both POST endpoints refuse a body one byte past
+// maxBodyBytes with 413 before decoding it, and still take a normal one.
+func TestOversizeBodyIs413(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	c := &httpClient{t: t, base: srv.URL}
+
+	prefix, suffix := `{"source":"`, `"}`
+	huge := prefix + strings.Repeat("x", maxBodyBytes+1-len(prefix)-len(suffix)) + suffix
+	for _, path := range []string{"/v1/jobs", "/v1/analyze"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: HTTP %d, want 413", path, len(huge), resp.StatusCode)
+		}
+	}
+
+	if code, body := c.post("/v1/jobs", SubmitRequest{Source: programs.ProdSource, Args: map[string]int64{"a": 6, "b": 7}}); code != http.StatusAccepted {
+		t.Errorf("normal submission: HTTP %d: %s", code, body)
+	}
+	if code, body := c.post("/v1/analyze", AnalyzeRequest{Source: programs.ProdSource, Entry: []string{"a", "b"}}); code != http.StatusOK {
+		t.Errorf("normal analysis: HTTP %d: %s", code, body)
+	}
 }

@@ -40,16 +40,23 @@ type errorBody struct {
 	JobID string `json:"job_id,omitempty"`
 }
 
+// maxBodyBytes bounds a POST body. Sources are short (the largest
+// program in the corpus and examples is well under 1 KB), and a larger
+// body is refused with 413 before it is decoded.
+const maxBodyBytes = 1 << 20
+
 // Handler returns the service's HTTP API:
 //
 //	POST /v1/jobs             submit a job  (202 queued / done; 422 rejected;
-//	                          429 queue full; 503 draining; 400 bad request)
+//	                          429 queue full; 503 draining; 400 bad request;
+//	                          413 body over maxBodyBytes)
 //	GET  /v1/jobs/{id}        job status, result, stats (404 unknown)
 //	GET  /v1/jobs/{id}/events live job event stream over SSE: status
 //	                          transitions and, for traced jobs, batches
 //	                          of tracer events; ends with a "done" frame
 //	                          carrying the full job view
 //	POST /v1/analyze          run the analysis pipeline without executing
+//	                          (200; 400 bad request; 413 body too large)
 //	GET  /healthz             200 serving / 503 draining
 //	GET  /metrics             counters, queue depth, latency percentiles
 func (s *Service) Handler() http.Handler {
@@ -71,10 +78,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// decodeBody decodes a JSON request body of at most maxBodyBytes into
+// v. On failure it answers the request — 413 for an over-size body, 400
+// for anything else — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)})
+	default:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad JSON: " + err.Error()})
+	}
+	return false
+}
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad JSON: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	// ?trace=1 is the query-parameter form of the body's "trace" field;
@@ -207,8 +230,7 @@ func retryAfterSeconds(depth int, execP50MS float64, workers int) int {
 
 func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad JSON: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	fe, err := s.loadSubmission(SubmitRequest{Lang: req.Lang, Source: req.Source})

@@ -6,7 +6,6 @@ import (
 	"tpal/internal/minipar/autopar"
 	"tpal/internal/tpal"
 	"tpal/internal/tpal/machine"
-	"tpal/internal/tpal/machine/compile"
 	"tpal/internal/trace"
 )
 
@@ -230,7 +229,6 @@ type Job struct {
 
 	// Execution inputs, fixed at admission.
 	prog      *tpal.Program
-	compiled  *compile.Program // closure-threaded form; nil runs the interpreter
 	regs      machine.RegFile
 	heartbeat int64
 	signal    int64

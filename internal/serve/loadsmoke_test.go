@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"tpal/internal/tpal/machine"
 	"tpal/internal/tpal/programs"
 )
 
@@ -23,8 +22,7 @@ const (
 )
 
 // driveLoad pushes smokeSubmissions submissions from smokeTenants
-// tenants through a deliberately small queue on the given backend and
-// returns the service's final counters. A fixed pool of
+// tenants through a deliberately small queue and returns the service's final counters. A fixed pool of
 // smokeSubmitters goroutines feeds the burst — enough concurrency to
 // keep duplicates in flight together and the queue saturated, without
 // drowning the race detector in ten thousand goroutines spinning on
@@ -35,7 +33,7 @@ const (
 // retry, so every job eventually lands: full completion is asserted,
 // which exercises backpressure, DRR dispatch, concurrent admission,
 // and both dedup layers together under load.
-func driveLoad(t *testing.T, backend machine.Backend) MetricsSnapshot {
+func driveLoad(t *testing.T) MetricsSnapshot {
 	t.Helper()
 	s := newTestService(t, Config{
 		Workers:        smokeWorkers,
@@ -43,7 +41,6 @@ func driveLoad(t *testing.T, backend machine.Backend) MetricsSnapshot {
 		ResultCacheCap: smokeResultCap,
 		JobRetention:   smokeRetention,
 		TripAssume:     64,
-		Backend:        backend,
 	})
 
 	tenantNames := make([]string, smokeTenants)
@@ -117,38 +114,27 @@ func driveLoad(t *testing.T, backend machine.Backend) MetricsSnapshot {
 	wall := time.Since(start)
 
 	if n := otherErrors.Load(); n > 0 {
-		t.Fatalf("%s: %d submissions failed with unexpected errors", backend, n)
+		t.Fatalf("%d submissions failed with unexpected errors", n)
 	}
 	if n := failedJobs.Load(); n > 0 {
-		t.Fatalf("%s: %d jobs did not complete successfully", backend, n)
+		t.Fatalf("%d jobs did not complete successfully", n)
 	}
 	if got := completed.Load(); got != smokeSubmissions {
-		t.Fatalf("%s: completed %d of %d submissions", backend, got, smokeSubmissions)
+		t.Fatalf("completed %d of %d submissions", got, smokeSubmissions)
 	}
 
 	snap := s.Snapshot()
-	t.Logf("load smoke (%s): %d jobs in %v (%d executions, %d collapses, %d cache hits, %d throttled)",
-		backend, smokeSubmissions, wall.Round(time.Millisecond),
+	t.Logf("load smoke: %d jobs in %v (%d executions, %d collapses, %d cache hits, %d throttled)",
+		smokeSubmissions, wall.Round(time.Millisecond),
 		snap.Executions, snap.SingleflightCollapses, snap.ResultHits, snap.Throttled)
 	return snap
 }
 
 // TestLoadSmoke is a correctness burst, not a benchmark: every job of
-// the burst must complete on both execution backends through the
-// 64-slot queue. The serve numbers live in the front-door benchmark
+// the burst must complete through the 64-slot queue. The serve numbers live in the front-door benchmark
 // (benchmark/, workloads serve-hot / serve-mixed / serve-exec).
 func TestLoadSmoke(t *testing.T) {
-	interp := driveLoad(t, machine.BackendInterp)
-	compiled := driveLoad(t, machine.BackendCompiled)
-
-	// The compiled service must have lowered the one distinct program
-	// fingerprint exactly once and run every real execution on it.
-	if compiled.Compiles != 1 {
-		t.Errorf("compiled smoke: Compiles = %d, want 1", compiled.Compiles)
-	}
-	if compiled.CompiledRuns == 0 {
-		t.Error("compiled smoke: no jobs executed on the compiled backend")
-	}
+	snap := driveLoad(t)
 
 	// Under the race detector (`make serve-test`) executions are slow
 	// enough that concurrent duplicates must overlap: a burst with no
@@ -158,12 +144,7 @@ func TestLoadSmoke(t *testing.T) {
 	if !raceDetectorOn {
 		return
 	}
-	for _, r := range []struct {
-		name string
-		snap MetricsSnapshot
-	}{{"interp", interp}, {"compiled", compiled}} {
-		if r.snap.SingleflightCollapses == 0 {
-			t.Errorf("%s burst recorded no singleflight collapses: concurrent duplicates all executed", r.name)
-		}
+	if snap.SingleflightCollapses == 0 {
+		t.Error("burst recorded no singleflight collapses: concurrent duplicates all executed")
 	}
 }

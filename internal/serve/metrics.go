@@ -59,17 +59,6 @@ type Metrics struct {
 	SingleflightCollapses int64
 	JobsEvicted           int64
 
-	// Compiled-backend counters: programs lowered to closure-threaded
-	// form (once per admission entry, by whichever of Submit and
-	// /v1/analyze fills it), submissions that reused a cached lowering,
-	// executions that ran on the compiled backend, and metafunction
-	// checks the verifier let the lowering discharge statically (summed
-	// over compiles).
-	Compiles         int64
-	CompileCacheHits int64
-	CompiledRuns     int64
-	ChecksHoisted    int64
-
 	// ExecNanos accumulates executor-busy wall time across finished
 	// runs; Promotions accumulates heartbeat handler entries across
 	// successful runs. Together they derive the busy-fraction and
@@ -147,13 +136,6 @@ type MetricsSnapshot struct {
 	Throttled      int64 `json:"throttled_429"`
 	AnalysisHits   int64 `json:"analysis_cache_hits"`
 	ResultHits     int64 `json:"result_cache_hits"`
-
-	// Compiled-backend gauges (all zero when the service runs the
-	// interpreter backend).
-	Compiles         int64 `json:"compiles"`
-	CompileCacheHits int64 `json:"compile_cache_hits"`
-	CompiledRuns     int64 `json:"compiled_runs"`
-	ChecksHoisted    int64 `json:"checks_hoisted"`
 
 	QueueDepth int  `json:"queue_depth"`
 	InFlight   int  `json:"in_flight"`
@@ -240,25 +222,21 @@ func (s *Service) Snapshot() MetricsSnapshot {
 		}
 	}
 	return MetricsSnapshot{
-		Submitted:        m.Submitted,
-		Admitted:         m.Admitted,
-		Rejected:         m.Rejected,
-		Completed:        m.Completed,
-		Failed:           m.Failed,
-		BudgetExceeded:   m.BudgetExceeded,
-		Timeouts:         m.Timeouts,
-		Canceled:         m.Canceled,
-		Throttled:        m.Throttled,
-		AnalysisHits:     m.AnalysisHits,
-		ResultHits:       m.ResultHits,
-		Compiles:         m.Compiles,
-		CompileCacheHits: m.CompileCacheHits,
-		CompiledRuns:     m.CompiledRuns,
-		ChecksHoisted:    m.ChecksHoisted,
-		QueueDepth:       s.queue.len(),
-		InFlight:         len(s.inflight),
-		Workers:          s.cfg.Workers,
-		Draining:         s.draining,
+		Submitted:      m.Submitted,
+		Admitted:       m.Admitted,
+		Rejected:       m.Rejected,
+		Completed:      m.Completed,
+		Failed:         m.Failed,
+		BudgetExceeded: m.BudgetExceeded,
+		Timeouts:       m.Timeouts,
+		Canceled:       m.Canceled,
+		Throttled:      m.Throttled,
+		AnalysisHits:   m.AnalysisHits,
+		ResultHits:     m.ResultHits,
+		QueueDepth:     s.queue.len(),
+		InFlight:       len(s.inflight),
+		Workers:        s.cfg.Workers,
+		Draining:       s.draining,
 
 		Executions:            m.Executions,
 		Analyses:              m.Analyses,

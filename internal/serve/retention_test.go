@@ -31,7 +31,7 @@ func TestJobRetentionCap(t *testing.T) {
 		// A retained record is a view: the per-submission parsed
 		// program and registers must not be retained with it.
 		s.mu.Lock()
-		if j.prog != nil || j.compiled != nil || j.regs != nil {
+		if j.prog != nil || j.regs != nil {
 			t.Errorf("terminal job %s still holds its execution inputs", j.ID)
 		}
 		s.mu.Unlock()

@@ -108,14 +108,6 @@ type Config struct {
 	// running jobs are never evicted.
 	JobRetention int
 	JobTTL       time.Duration
-	// Backend selects the execution engine for admitted jobs: the
-	// interpreter (default) or the closure-threaded compiled backend.
-	// Compiled programs are cached per admission key beside the analysis
-	// cache, so steady-state submissions pay no lowering cost. The two
-	// backends are observably identical (same results, faults, stats);
-	// the compiled one just dispatches pre-lowered closures instead of
-	// re-decoding instructions every step.
-	Backend machine.Backend
 }
 
 func (c Config) withDefaults() Config {
@@ -307,12 +299,7 @@ func (s *Service) Submit(req SubmitRequest) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	adm, rep := s.admit(fe.prog, entryRegs(fe.params, req.Args, req.Entry))
-	if rep == nil && adm.compiled != nil {
-		s.mu.Lock()
-		s.metrics.CompileCacheHits++
-		s.mu.Unlock()
-	}
+	adm, _ := s.admit(fe.prog, entryRegs(fe.params, req.Args, req.Entry))
 	prog := fe.prog
 	if adm.optimized != nil {
 		prog = adm.optimized
@@ -353,7 +340,6 @@ func (s *Service) settle(req SubmitRequest, adm *admission, prog *tpal.Program, 
 		Autopar:     autoRep,
 		Submitted:   now,
 		prog:        prog,
-		compiled:    adm.compiled,
 		regs:        regs,
 		heartbeat:   heartbeat,
 		signal:      s.cfg.SignalPeriod,
@@ -522,13 +508,7 @@ func (s *Service) execute(j *Job) {
 		SkipVerify:   true,
 		Tracer:       tracer,
 	}
-	var res machine.Result
-	var err error
-	if j.compiled != nil {
-		res, err = j.compiled.Run(runCfg)
-	} else {
-		res, err = machine.Run(j.prog, runCfg)
-	}
+	res, err := machine.Run(j.prog, runCfg)
 	if tracer != nil {
 		// Run has returned, so no goroutine records into the tracer
 		// anymore; closing the sink flushes and stops the pump.
@@ -542,9 +522,6 @@ func (s *Service) execute(j *Job) {
 	execNanos := j.Finished.Sub(j.Started).Nanoseconds()
 	s.metrics.exec.add(float64(execNanos) / float64(time.Millisecond))
 	s.metrics.ExecNanos += execNanos
-	if j.compiled != nil {
-		s.metrics.CompiledRuns++
-	}
 	delete(s.inflight, j.ID)
 	j.cancel = nil
 	if tracer != nil {
@@ -642,7 +619,7 @@ func (s *Service) finishLocked(j *Job) {
 	// A terminal job is kept for its view only. Dropping the execution
 	// inputs here — each submission parses its own program — is what
 	// keeps the retained record small.
-	j.prog, j.compiled, j.regs = nil, nil, nil
+	j.prog, j.regs = nil, nil
 	close(j.done)
 	for _, c := range j.subs {
 		close(c)

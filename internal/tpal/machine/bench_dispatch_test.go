@@ -68,8 +68,8 @@ func BenchmarkDispatch(b *testing.B) {
 		{name: "fanout", cfg: machine.Config{Heartbeat: 2}, only: "fib"},
 	}
 	for _, c := range cases {
-		// Pre-compile once: the serve/run surfaces compile per program
-		// fingerprint, so compilation cost is off the steady-state path.
+		// Pre-compile once, so this measures dispatch alone; the
+		// lowering's own cost is BenchmarkCompile.
 		cp, err := compile.Compile(c.prog, compile.Options{})
 		if err != nil {
 			b.Fatal(err)
@@ -109,7 +109,7 @@ func BenchmarkDispatch(b *testing.B) {
 }
 
 // BenchmarkCompile measures the one-time lowering cost per program,
-// the price the serve cache pays on a compiled-cache miss.
+// what compile.Run pays on top of the run itself.
 func BenchmarkCompile(b *testing.B) {
 	for _, c := range []struct {
 		name string

@@ -88,7 +88,6 @@ func (c *compiler) lowerOp(code *machine.Code, b *tpal.Block, i int) machine.Op 
 // (structural validation, then — unless cfg.SkipVerify — the static
 // verifier with cfg.Regs as the entry registers), then execution. The
 // analysis run for the gate doubles as the check-hoisting report.
-// Registered as machine.BackendCompiled via init.
 func Run(prog *tpal.Program, cfg machine.Config) (machine.Result, error) {
 	report, err := machine.Verify(prog, cfg)
 	if err != nil {
@@ -104,8 +103,7 @@ func Run(prog *tpal.Program, cfg machine.Config) (machine.Result, error) {
 // Run executes an already-compiled program under cfg. Unless
 // cfg.SkipVerify is set, the machine.Verify gate runs first against
 // the source program with cfg.Regs as entry registers. Callers that
-// verified at admission time (the serve layer) set SkipVerify and pay
-// nothing here.
+// verified the program already set SkipVerify and pay nothing here.
 func (p *Program) Run(cfg machine.Config) (machine.Result, error) {
 	if !cfg.SkipVerify {
 		if _, err := machine.Verify(p.src, cfg); err != nil {
@@ -113,10 +111,6 @@ func (p *Program) Run(cfg machine.Config) (machine.Result, error) {
 		}
 	}
 	return p.code.Run(cfg)
-}
-
-func init() {
-	machine.RegisterCompiledBackend(Run)
 }
 
 type siteKey struct {

@@ -408,34 +408,8 @@ func TestCheckHoisting(t *testing.T) {
 	}
 }
 
-// TestBackendSeam pins the machine.Config.Backend dispatch and the
-// ParseBackend spelling table.
-func TestBackendSeam(t *testing.T) {
-	p := programs.Prod()
-	regs := machine.RegFile{"a": machine.IntV(6), "b": machine.IntV(7)}
-	for _, b := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
-		res, err := machine.RunBackend(p, machine.Config{Heartbeat: 8, Backend: b, Regs: regs.Clone()})
-		if err != nil {
-			t.Fatalf("backend %v: %v", b, err)
-		}
-		if got, _ := res.Regs.Get("c").AsInt(); got != 42 {
-			t.Fatalf("backend %v: c = %d, want 42", b, got)
-		}
-	}
-	for spelling, want := range map[string]machine.Backend{"interp": machine.BackendInterp, "": machine.BackendInterp, "compiled": machine.BackendCompiled} {
-		got, err := machine.ParseBackend(spelling)
-		if err != nil || got != want {
-			t.Fatalf("ParseBackend(%q) = %v, %v; want %v", spelling, got, err, want)
-		}
-	}
-	if _, err := machine.ParseBackend("jit"); err == nil {
-		t.Fatal("ParseBackend must reject unknown spellings")
-	}
-}
-
 // TestReusedProgramIsolation pins that one compiled Program can run
-// many times (the serve per-fingerprint cache) without state leaking
-// between runs.
+// many times without state leaking between runs.
 func TestReusedProgramIsolation(t *testing.T) {
 	p := programs.Fib()
 	cp, err := Compile(p, Options{})

@@ -73,13 +73,14 @@ func goldenCases(t *testing.T) []goldenCase {
 	return out
 }
 
-// schedDigest runs one case on the given backend and hashes everything
-// a scheduler change could move: the full per-transition Config.Trace
-// stream, the Config.Tracer event stream (kind and payloads, in
-// recording order, timestamps excluded), the error text, every Stats
-// field including MaxPromotionGap and TripCounts, and the final
-// register file in rendered form.
-func schedDigest(c goldenCase, backend machine.Backend) string {
+// schedDigest runs one case on the interpreter (machine.Run) or the
+// compiled lowering (Run) and hashes everything a scheduler change
+// could move: the full per-transition Config.Trace stream, the
+// Config.Tracer event stream (kind and payloads, in recording order,
+// timestamps excluded), the error text, every Stats field including
+// MaxPromotionGap and TripCounts, and the final register file in
+// rendered form.
+func schedDigest(c goldenCase, compiled bool) string {
 	h := sha256.New()
 	// Events are appended to a buffer with strconv (the streams run to
 	// 200k events per case; fmt would dominate the suite's wall time).
@@ -93,7 +94,6 @@ func schedDigest(c goldenCase, backend machine.Backend) string {
 	num := func(n int64) { buf = append(strconv.AppendInt(buf, n, 10), ' ') }
 	str := func(s string) { buf = append(strconv.AppendQuote(buf, s), ' ') }
 	cfg := c.cfg
-	cfg.Backend = backend
 	cfg.Regs = cfg.Regs.Clone()
 	cfg.Trace = func(e machine.TraceEvent) {
 		buf = append(buf, 'T')
@@ -114,7 +114,11 @@ func schedDigest(c goldenCase, backend machine.Backend) string {
 		num(e.B)
 		flush(false)
 	})
-	res, err := machine.RunBackend(c.prog, cfg)
+	run := machine.Run
+	if compiled {
+		run = Run
+	}
+	res, err := run(c.prog, cfg)
 	flush(true)
 	hashOutcome(h, res, err)
 	return hex.EncodeToString(h.Sum(nil))
@@ -155,7 +159,7 @@ func TestSchedulerGolden(t *testing.T) {
 	if *updateGolden {
 		golden := make(map[string]string, len(cases))
 		for _, c := range cases {
-			golden[c.name] = schedDigest(c, machine.BackendInterp)
+			golden[c.name] = schedDigest(c, false)
 		}
 		data, err := json.MarshalIndent(golden, "", " ")
 		if err != nil {
@@ -185,9 +189,9 @@ func TestSchedulerGolden(t *testing.T) {
 			t.Errorf("%s: not in fixture", c.name)
 			continue
 		}
-		for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendCompiled} {
-			if got := schedDigest(c, backend); got != want {
-				t.Errorf("%s on %s: digest %s, fixture %s", c.name, backend, got, want)
+		for _, compiled := range []bool{false, true} {
+			if got := schedDigest(c, compiled); got != want {
+				t.Errorf("%s (compiled %v): digest %s, fixture %s", c.name, compiled, got, want)
 			}
 		}
 	}

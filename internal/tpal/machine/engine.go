@@ -63,12 +63,6 @@ type Config struct {
 	// Schedule selects the interleaving policy; Seed seeds RandomOrder.
 	Schedule SchedulePolicy
 	Seed     int64
-	// Backend selects the lowering RunBackend feeds the engine: the
-	// reference interpreter's decode-and-switch dispatch (zero value)
-	// or the closure-threaded lowering in machine/compile. Run itself
-	// always interprets; the seam lives in RunBackend so the interpreter
-	// stays available as the differential oracle.
-	Backend Backend
 	// Regs is the initial register file of the root task.
 	Regs RegFile
 	// RaceDetect enables the determinacy-race sanitizer (race.go): every
