@@ -23,11 +23,11 @@ race-test:
 
 # serve-test runs the job-execution service and daemon suites under
 # the race detector: admission gating (analyze-once, no head-of-line
-# blocking), DRR fairness across all tenants, singleflight dedup, job
+# blocking), DRR fairness across all tenants, the result cache, job
 # retention, budget and deadline enforcement, drain, the HTTP E2E
 # batch, the SSE event stream, and the 10k-job many-tenant correctness
-# burst (which fails if a job does not complete or no singleflight
-# collapse was observed; it writes no file).
+# burst (which fails if a job does not complete or the counters break
+# a conservation law; it writes no file).
 serve-test:
 	$(GO) test -race ./internal/serve ./cmd/tpal-serve
 

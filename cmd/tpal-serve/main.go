@@ -19,8 +19,8 @@
 // All tenants share one DRR queue; each submission is admitted in its
 // own request goroutine and a program is analyzed once however many
 // submitters race. Results are memoized in a bounded LRU
-// (-result-cache) and identical in-flight submissions collapse onto
-// one execution.
+// (-result-cache); every other admitted job executes once, by itself,
+// under its own deadline.
 // Terminal job records are retained up to -retain-jobs / -job-ttl and
 // then evicted (GET on an evicted id is a 404).
 //
@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		retainJobs   = fs.Int("retain-jobs", 4096, "terminal job records kept before eviction")
 		jobTTL       = fs.Duration("job-ttl", 15*time.Minute, "age at which terminal job records are evicted")
 		heartbeat    = fs.Int64("heartbeat", 100, "heartbeat period N shared by all executors")
-		signalPeriod = fs.Int64("signal-period", 0, "steps per heartbeat signal (0 = N, lockstep)")
 		fuelCap      = fs.Int64("fuel-cap", 20_000_000, "hard per-job step ceiling")
 		minBudget    = fs.Int64("min-budget", 10_000, "floor for quoted step budgets")
 		tripAssume   = fs.Int64("trip-assume", 1024, "assumed trip count for unknown loop bounds in quotes")
@@ -97,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		JobRetention:   *retainJobs,
 		JobTTL:         *jobTTL,
 		Heartbeat:      *heartbeat,
-		SignalPeriod:   *signalPeriod,
 		FuelCap:        *fuelCap,
 		MinBudget:      *minBudget,
 		TripAssume:     *tripAssume,

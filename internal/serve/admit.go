@@ -268,7 +268,7 @@ func wireDiags(ds []analysis.Diag) []Diag {
 // resultKey keys the result cache: program identity plus everything
 // that determines the outcome — the argument values and the scheduling
 // parameters (the lockstep executor is deterministic given those).
-func resultKey(fp string, args map[string]int64, heartbeat, signal int64) string {
+func resultKey(fp string, args map[string]int64, heartbeat int64) string {
 	names := make([]string, 0, len(args))
 	for k := range args {
 		names = append(names, k)
@@ -279,6 +279,6 @@ func resultKey(fp string, args map[string]int64, heartbeat, signal int64) string
 	for _, k := range names {
 		fmt.Fprintf(&sb, "|%s=%d", k, args[k])
 	}
-	fmt.Fprintf(&sb, "|hb=%d|sig=%d", heartbeat, signal)
+	fmt.Fprintf(&sb, "|hb=%d", heartbeat)
 	return sb.String()
 }

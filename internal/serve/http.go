@@ -32,12 +32,11 @@ type AnalyzeResponse struct {
 	Quote       *Quote `json:"quote,omitempty"`
 }
 
-// errorBody is the uniform error payload: a message plus, for
-// admission rejections, the structured diagnostics.
+// errorBody is the uniform error payload: a message. A rejection is
+// not an error body; it answers 422 with the job view, which carries
+// the diagnostics.
 type errorBody struct {
 	Error string `json:"error"`
-	Diags []Diag `json:"diags,omitempty"`
-	JobID string `json:"job_id,omitempty"`
 }
 
 // maxBodyBytes bounds a POST body. Sources are short (the largest

@@ -221,7 +221,6 @@ type Job struct {
 	Autopar     *AutoparReport // verdict table (auto_parallelize submissions only)
 	Error       string
 	Cached      bool // result served from the content-addressed result store
-	Coalesced   bool // singleflight follower: rode an identical in-flight execution
 
 	Submitted time.Time
 	Started   time.Time
@@ -231,15 +230,10 @@ type Job struct {
 	prog      *tpal.Program
 	regs      machine.RegFile
 	heartbeat int64
-	signal    int64
 	timeout   time.Duration
 	traced    bool  // execute with a per-job tracer attached
 	cost      int64 // DRR accounting weight (= Quote.Budget)
 	cacheKey  string
-
-	// followers are identical submissions collapsed onto this job by the
-	// singleflight registry; they inherit its terminal outcome.
-	followers []*Job
 
 	// Event stream state: replayable history, live subscribers, and the
 	// trace-frame retention accounting (events.go).
@@ -269,7 +263,6 @@ type JobView struct {
 	Autopar     *AutoparReport    `json:"autopar,omitempty"`
 	Error       string            `json:"error,omitempty"`
 	Cached      bool              `json:"cached,omitempty"`
-	Coalesced   bool              `json:"coalesced,omitempty"`
 	QueueWaitMS float64           `json:"queue_wait_ms,omitempty"`
 	ExecMS      float64           `json:"exec_ms,omitempty"`
 }
@@ -287,7 +280,6 @@ func (j *Job) view() JobView {
 		Autopar:     j.Autopar,
 		Error:       j.Error,
 		Cached:      j.Cached,
-		Coalesced:   j.Coalesced,
 	}
 	if j.Status != StatusRejected {
 		q := j.Quote

@@ -50,14 +50,12 @@ type Metrics struct {
 	ResultHits     int64
 	TracedJobs     int64 // executions run with a per-job tracer
 
-	// Dispatch and dedup counters: executions started, analysis
-	// pipeline runs (verdict-cache entries claimed), identical in-flight
-	// submissions collapsed by singleflight, and terminal job records
-	// evicted by the retention cap or TTL.
-	Executions            int64
-	Analyses              int64
-	SingleflightCollapses int64
-	JobsEvicted           int64
+	// Dispatch counters: executions started, analysis pipeline runs
+	// (verdict-cache entries claimed), and terminal job records evicted
+	// by the retention cap or TTL.
+	Executions  int64
+	Analyses    int64
+	JobsEvicted int64
 
 	// ExecNanos accumulates executor-busy wall time across finished
 	// runs; Promotions accumulates heartbeat handler entries across
@@ -142,19 +140,20 @@ type MetricsSnapshot struct {
 	Workers    int  `json:"workers"`
 	Draining   bool `json:"draining"`
 
-	// Dispatch and dedup gauges: executions started, unique analyses,
-	// concurrent duplicates collapsed by singleflight, and
+	// Dispatch gauges: executions started, unique analyses, and
 	// eviction/retention state of the two bounded stores.
 	Executions int64 `json:"executions"`
-	// Steals and Batches are always 0: the service has one queue and
-	// every Submit admits its own job, so there are no shards to steal
-	// across and no admission batches. The fields exist only because
+	// Steals, Batches and SingleflightCollapses are always 0: the
+	// service has one queue, every Submit admits its own job, and every
+	// admitted job that misses the result cache executes by itself, so
+	// there are no shards to steal across, no admission batches and no
+	// in-flight duplicates collapsed. The fields exist only because
 	// benchmark/, which this package's PRs may not edit, still reads
 	// them; they go in the next benchmark PR.
 	Steals                int64 `json:"steals"`
 	Batches               int64 `json:"admission_batches"`
-	Analyses              int64 `json:"analyses"`
 	SingleflightCollapses int64 `json:"singleflight_collapses"`
+	Analyses              int64 `json:"analyses"`
 	ResultEvictions       int64 `json:"result_evictions"`
 	JobsEvicted           int64 `json:"jobs_evicted"`
 	JobsRetained          int   `json:"jobs_retained"`
@@ -238,12 +237,11 @@ func (s *Service) Snapshot() MetricsSnapshot {
 		Workers:        s.cfg.Workers,
 		Draining:       s.draining,
 
-		Executions:            m.Executions,
-		Analyses:              m.Analyses,
-		SingleflightCollapses: m.SingleflightCollapses,
-		ResultEvictions:       s.results.evictions,
-		JobsEvicted:           m.JobsEvicted,
-		JobsRetained:          len(s.jobs),
+		Executions:      m.Executions,
+		Analyses:        m.Analyses,
+		ResultEvictions: s.results.evictions,
+		JobsEvicted:     m.JobsEvicted,
+		JobsRetained:    len(s.jobs),
 
 		TenantDeficits:   s.queue.deficits(),
 		BusyFraction:     busy,

@@ -22,12 +22,13 @@
 // under a sync.Once, so one program is analyzed once however many
 // submitters race and different programs analyze concurrently in their
 // callers' goroutines (admit.go). Completed results live in a bounded
-// LRU store (store.go) and identical in-flight submissions collapse
-// onto one execution via the singleflight registry. Every job carries
-// a replayable event stream (events.go) served over SSE by
-// GET /v1/jobs/{id}/events. DESIGN.md §16 records the measurements
-// that retired the tenant-hashed queues, the stealing and the batched
-// admission this package used to have.
+// LRU store (store.go); every other admitted job executes once, by
+// itself, under its own deadline and its own tenant's DRR account.
+// Every job carries a replayable event stream (events.go) served over
+// SSE by GET /v1/jobs/{id}/events. DESIGN.md §16 records the
+// measurements that retired the tenant-hashed queues, the stealing,
+// the batched admission and the singleflight registry this package
+// used to have.
 package serve
 
 import (
@@ -74,9 +75,6 @@ type Config struct {
 	// smaller-grained value, but the default keeps the whole pool under
 	// one interrupt policy, the paper's single-♥ regime.
 	Heartbeat int64
-	// SignalPeriod optionally layers OS-signal rollforward delivery on
-	// every job (default 0 = off).
-	SignalPeriod int64
 	// FuelCap is the hard per-job budget ceiling in machine steps
 	// (default 20M): no quote, however large the symbolic estimate, may
 	// exceed it.
@@ -96,9 +94,6 @@ type Config struct {
 	// deadlines (default 60s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Quantum is the DRR credit per scheduling visit, in budget steps
-	// (default 100k).
-	Quantum int64
 	// ResultCacheCap bounds the content-addressed result store; the
 	// least-recently-used entries are evicted past it (default 4096).
 	ResultCacheCap int
@@ -141,9 +136,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
 	}
-	if c.Quantum <= 0 {
-		c.Quantum = 100_000
-	}
 	if c.ResultCacheCap <= 0 {
 		c.ResultCacheCap = 4096
 	}
@@ -180,9 +172,9 @@ type SubmitRequest struct {
 	// ring-buffer tracer attached and the job record carries the drained
 	// trace summary (GET /v1/jobs/{id} returns it under "trace"). The
 	// HTTP layer also accepts it as the ?trace=1 query parameter on
-	// POST /v1/jobs. Traced submissions bypass the result cache and the
-	// singleflight registry so the trace always reflects a real
-	// execution; their live events also stream over the job's SSE feed.
+	// POST /v1/jobs. Traced submissions bypass the result cache so the
+	// trace always reflects a real execution; their live events also
+	// stream over the job's SSE feed.
 	Trace bool `json:"trace"`
 	// AutoParallelize runs the autopar dependence pass over the
 	// submission before admission: sequential loops and independent
@@ -208,12 +200,8 @@ type Service struct {
 	jobs     map[string]*Job
 	retired  []*Job // terminal jobs in finish order, pruned by cap and TTL
 	inflight map[string]*Job
-	// primaries is the singleflight registry: cacheKey → the in-flight
-	// job concurrent identical submissions coalesce onto. Entries are
-	// removed when the primary reaches a terminal state.
-	primaries map[string]*Job
-	seq       int64
-	draining  bool
+	seq      int64
+	draining bool
 
 	admissions *lruStore[*admission]
 	results    *lruStore[*cachedResult]
@@ -236,6 +224,9 @@ func (s *Service) setRunningHook(f func(*Job)) {
 	s.mu.Unlock()
 }
 
+// drrQuantum is the DRR credit per scheduling visit, in budget steps.
+const drrQuantum = 100_000
+
 // New starts a service with Workers executor goroutines.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
@@ -243,11 +234,10 @@ func New(cfg Config) *Service {
 		cfg:        cfg,
 		jobs:       make(map[string]*Job),
 		inflight:   make(map[string]*Job),
-		primaries:  make(map[string]*Job),
 		admissions: newLRUStore[*admission](cfg.ResultCacheCap),
 		results:    newLRUStore[*cachedResult](cfg.ResultCacheCap),
 		metrics:    newMetrics(),
-		queue:      newDRRQueue(cfg.Quantum),
+		queue:      newDRRQueue(drrQuantum),
 		started:    time.Now(),
 	}
 	s.work = sync.NewCond(&s.mu)
@@ -282,10 +272,9 @@ func (s *Service) JobView(id string) (JobView, bool) {
 
 // Submit admits one job. The returned Job is terminal immediately for
 // rejections (StatusRejected, with the gate's diagnostics attached) and
-// cache hits (StatusDone, Cached); otherwise it is queued — possibly as
-// a singleflight follower (Coalesced) of an identical in-flight job.
-// ErrQueueFull and ErrDraining report backpressure without creating a
-// job record; parse failures wrap ErrBadRequest.
+// cache hits (StatusDone, Cached); otherwise it is queued to execute
+// once, by itself. ErrQueueFull and ErrDraining report backpressure
+// without creating a job record; parse failures wrap ErrBadRequest.
 func (s *Service) Submit(req SubmitRequest) (*Job, error) {
 	s.mu.Lock()
 	if s.draining {
@@ -309,8 +298,8 @@ func (s *Service) Submit(req SubmitRequest) (*Job, error) {
 
 // settle turns one admitted submission into its job record and decides
 // the job's fate under a single hold of the service mutex: rejected,
-// served from the result cache, coalesced onto an identical in-flight
-// job, bounced off the full queue, or queued with one executor woken.
+// served from the result cache, bounced off the full queue, or queued
+// with one executor woken.
 func (s *Service) settle(req SubmitRequest, adm *admission, prog *tpal.Program, autoRep *AutoparReport) (*Job, error) {
 	tenant := req.Tenant
 	if tenant == "" {
@@ -342,7 +331,6 @@ func (s *Service) settle(req SubmitRequest, adm *admission, prog *tpal.Program, 
 		prog:        prog,
 		regs:        regs,
 		heartbeat:   heartbeat,
-		signal:      s.cfg.SignalPeriod,
 		timeout:     timeout,
 		traced:      req.Trace,
 		done:        make(chan struct{}),
@@ -354,7 +342,7 @@ func (s *Service) settle(req SubmitRequest, adm *admission, prog *tpal.Program, 
 	if j.cost <= 0 {
 		j.cost = 1
 	}
-	j.cacheKey = resultKey(adm.fingerprint, req.Args, heartbeat, s.cfg.SignalPeriod)
+	j.cacheKey = resultKey(adm.fingerprint, req.Args, heartbeat)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -364,8 +352,6 @@ func (s *Service) settle(req SubmitRequest, adm *admission, prog *tpal.Program, 
 	s.seq++
 	j.ID = fmt.Sprintf("j%06d", s.seq)
 
-	primary, inflight := s.primaries[j.cacheKey]
-	coalesce := inflight && !j.traced && primary.Quote.Budget == j.Quote.Budget
 	var cached *cachedResult
 	if !j.traced {
 		cached, _ = s.results.get(j.cacheKey)
@@ -395,18 +381,6 @@ func (s *Service) settle(req SubmitRequest, adm *admission, prog *tpal.Program, 
 		s.metrics.noteAutopar(j.Autopar)
 		s.finishLocked(j)
 
-	case coalesce:
-		// Singleflight: an identical submission is already in flight;
-		// ride it instead of executing again.
-		j.Status = StatusQueued
-		j.Coalesced = true
-		primary.followers = append(primary.followers, j)
-		s.jobs[j.ID] = j
-		s.metrics.Admitted++
-		s.metrics.SingleflightCollapses++
-		s.metrics.noteAutopar(j.Autopar)
-		s.publishLocked(j, statusEvent(j))
-
 	case s.queue.len() >= s.cfg.QueueCap:
 		s.metrics.Throttled++
 		return nil, ErrQueueFull
@@ -414,9 +388,6 @@ func (s *Service) settle(req SubmitRequest, adm *admission, prog *tpal.Program, 
 	default:
 		j.Status = StatusQueued
 		s.jobs[j.ID] = j
-		if !inflight {
-			s.primaries[j.cacheKey] = j
-		}
 		s.metrics.Admitted++
 		s.metrics.noteAutopar(j.Autopar)
 		s.publishLocked(j, statusEvent(j))
@@ -499,14 +470,13 @@ func (s *Service) execute(j *Job) {
 	// Admission already ran the full pipeline (and cached it), so the
 	// machine's own load-time verification pass is skipped.
 	runCfg := machine.Config{
-		Heartbeat:    j.heartbeat,
-		SignalPeriod: j.signal,
-		Fuel:         j.Quote.Budget,
-		MaxSteps:     1 << 60, // the fuel budget, not the runaway default, bounds the run
-		Context:      ctx,
-		Regs:         j.regs,
-		SkipVerify:   true,
-		Tracer:       tracer,
+		Heartbeat:  j.heartbeat,
+		Fuel:       j.Quote.Budget,
+		MaxSteps:   1 << 60, // the fuel budget, not the runaway default, bounds the run
+		Context:    ctx,
+		Regs:       j.regs,
+		SkipVerify: true,
+		Tracer:     tracer,
 	}
 	res, err := machine.Run(j.prog, runCfg)
 	if tracer != nil {
@@ -592,30 +562,12 @@ func (s *Service) pumpTrace(j *Job, sink <-chan trace.Event, dropped *atomic.Int
 }
 
 // finishLocked settles a job that just reached a terminal state: it
-// publishes the terminal event, releases the singleflight slot,
-// propagates the outcome to any coalesced followers, closes the done
-// channel and every subscriber feed, and moves the record onto the
-// bounded retention list. The caller holds the service mutex, has set
-// Status/Finished and the outcome fields, and has counted the job's
-// own outcome metric; finishLocked counts the followers'.
+// publishes the terminal event, closes the done channel and every
+// subscriber feed, and moves the record onto the bounded retention
+// list. The caller holds the service mutex, has set Status/Finished
+// and the outcome fields, and has counted the job's outcome metric.
 func (s *Service) finishLocked(j *Job) {
 	s.publishLocked(j, statusEvent(j))
-	if s.primaries[j.cacheKey] == j {
-		delete(s.primaries, j.cacheKey)
-	}
-	for _, f := range j.followers {
-		f.Status = j.Status
-		f.Result = j.Result
-		f.Stats = j.Stats
-		f.Error = j.Error
-		f.Finished = j.Finished
-		if f.Finished.IsZero() {
-			f.Finished = time.Now()
-		}
-		s.countOutcomeLocked(f.Status)
-		s.finishLocked(f)
-	}
-	j.followers = nil
 	// A terminal job is kept for its view only. Dropping the execution
 	// inputs here — each submission parses its own program — is what
 	// keeps the retained record small.
@@ -626,24 +578,6 @@ func (s *Service) finishLocked(j *Job) {
 	}
 	j.subs = nil
 	s.retireLocked(j)
-}
-
-// countOutcomeLocked bumps the outcome counter for one terminal
-// status; finishLocked uses it for singleflight followers, whose
-// outcomes are inherited rather than executed.
-func (s *Service) countOutcomeLocked(st Status) {
-	switch st {
-	case StatusDone:
-		s.metrics.Completed++
-	case StatusFailed:
-		s.metrics.Failed++
-	case StatusBudget:
-		s.metrics.BudgetExceeded++
-	case StatusTimeout:
-		s.metrics.Timeouts++
-	case StatusCanceled:
-		s.metrics.Canceled++
-	}
 }
 
 // retireLocked appends a terminal job to the retention list and prunes.
@@ -688,8 +622,7 @@ func renderRegs(regs machine.RegFile) map[string]string {
 
 // Drain gracefully shuts the service down: admission stops (new
 // submissions fail with ErrDraining), every queued-but-unstarted job is
-// canceled (along with its singleflight followers), and in-flight jobs
-// run to completion. If ctx expires first, in-flight jobs are
+// canceled, and in-flight jobs run to completion. If ctx expires first, in-flight jobs are
 // interrupted through their run contexts and the drain still completes.
 // Drain is idempotent; it returns once every worker goroutine has
 // exited.

@@ -320,6 +320,50 @@ func TestExplicitFuelLowersBudget(t *testing.T) {
 	}
 }
 
+// TestDuplicateKeepsItsOwnDeadline: a job identical to one already
+// running executes under its own deadline, not the running job's. Alice
+// asks for 1ms, Bob for the default; Alice's run is held in execution
+// while Bob submits. Alice times out, and Bob's job still completes.
+func TestDuplicateKeepsItsOwnDeadline(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	release := make(chan struct{})
+	running := make(chan struct{})
+	var once sync.Once
+	s.setRunningHook(func(*Job) {
+		once.Do(func() {
+			close(running)
+			<-release
+		})
+	})
+
+	req := SubmitRequest{
+		Tenant:    "alice",
+		Source:    programs.ProdSource,
+		Args:      map[string]int64{"a": 40_000, "b": 3},
+		TimeoutMS: 1,
+	}
+	alice, err := s.Submit(req)
+	if err != nil {
+		t.Fatalf("Submit alice: %v", err)
+	}
+	<-running // alice is in execution now
+
+	req.Tenant, req.TimeoutMS = "bob", 0
+	bob, err := s.Submit(req)
+	if err != nil {
+		t.Fatalf("Submit bob: %v", err)
+	}
+	close(release)
+
+	if v := await(t, alice); v.Status != StatusTimeout {
+		t.Errorf("alice: status = %s (%s), want timeout", v.Status, v.Error)
+	}
+	v := await(t, bob)
+	if v.Status != StatusDone || v.Result["c"] != "120000" {
+		t.Errorf("bob: status = %s (%s), c = %q, want done with c = 120000", v.Status, v.Error, v.Result["c"])
+	}
+}
+
 func TestTimeoutJob(t *testing.T) {
 	// A genuinely long run (budget floor raised well past what 50ms
 	// covers) against a tiny deadline, so the deadline fires first.

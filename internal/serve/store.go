@@ -16,11 +16,10 @@ type cachedResult struct {
 // instance. The service holds two, both sized by Config.ResultCacheCap:
 //
 //   - results, the content-addressed result cache: completed runs keyed
-//     by fingerprint × args × heartbeat (resultKey). It is one half of
-//     the dedup story: it collapses *sequential* duplicates (submit
-//     after the first run finished). Concurrent duplicates are collapsed
-//     by the singleflight registry (Service.primaries), which attaches
-//     them to the in-flight execution before any result exists to cache.
+//     by fingerprint × args × heartbeat (resultKey). It answers a
+//     duplicate submitted after the first run finished; a duplicate
+//     submitted while that run is still queued or running executes
+//     itself.
 //   - admissions, the admission-verdict cache keyed by admitKey, each
 //     entry carrying its lowered program. An evicted program is simply
 //     re-analyzed on its next submission; the pipeline is deterministic,
