@@ -76,8 +76,10 @@ func goldenCases(t *testing.T) []goldenCase {
 // schedDigest runs one case on the interpreter (machine.Run) or the
 // compiled lowering (Run) and hashes everything a scheduler change
 // could move: the full per-transition Config.Trace stream, the
-// Config.Tracer event stream (kind and payloads, in recording order,
-// timestamps excluded), the error text, every Stats field including
+// Config.Tracer event stream (kind name and payloads, in recording
+// order, timestamps excluded; the name, not the Kind number, so that
+// adding or deleting a kind the machine never records leaves the digests
+// alone), the error text, every Stats field including
 // MaxPromotionGap and TripCounts, and the final register file in
 // rendered form.
 func schedDigest(c goldenCase, compiled bool) string {
@@ -109,7 +111,7 @@ func schedDigest(c goldenCase, compiled bool) string {
 	cfg.Tracer = trace.New(1, 1)
 	cfg.Tracer.SetSink(func(e trace.Event) {
 		buf = append(buf, 'E')
-		num(int64(e.Kind))
+		str(e.Kind.String())
 		num(e.A)
 		num(e.B)
 		flush(false)
@@ -148,7 +150,9 @@ func hashOutcome(h hash.Hash, res machine.Result, err error) {
 // is held to digests recorded from the pre-unification interpreter.
 //
 // The fixture was generated at commit 3669953 (the last commit with two
-// engines) from the interpreter backend with
+// engines) from the interpreter backend, and regenerated once, with no
+// scheduler change, when tracer events began to be hashed by kind name,
+// with
 //
 //	go test ./internal/tpal/machine/compile -run TestSchedulerGolden -update
 //
