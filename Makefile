@@ -15,9 +15,8 @@ race:
 	$(GO) test -race ./...
 
 # race-test runs Go's own race detector over the concurrent runtime
-# packages: the schedulers, the work-stealing deque and its park/wake,
-# and the interrupt mechanisms (the thread timer and the heartbeat
-# mailbox it raises are cross-goroutine code).
+# packages and their cross-goroutine code: deque steals, park/wake, the
+# schedulers layered on them, and each interrupt mechanism's Stop flag.
 race-test:
 	$(GO) test -race ./internal/sched ./internal/heartbeat ./internal/cilk ./internal/interrupt
 

@@ -61,6 +61,11 @@ func run(args []string, out io.Writer) int {
 	}
 
 	switch {
+	case *benchName != "" && *workers < 1:
+		// The tracer needs one lane per worker, so the count cannot be
+		// left for the runtime to pick.
+		fmt.Fprintln(out, "tpal-trace: -workers must be at least 1")
+		return 2
 	case *benchName != "":
 		return runBench(out, *benchName, *workers, *scale, *capacity, *chrome)
 	case *progName != "":

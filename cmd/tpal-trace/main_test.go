@@ -53,6 +53,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-bench" + "-rt", "flag provided but not defined"},
 		{"-prog prod -out x.json", "flag provided but not defined"},
 		{"-prog prod -reps 1", "flag provided but not defined"},
+		{"-bench plus-reduce-array -workers 0", "-workers must be at least 1"},
 	} {
 		var buf bytes.Buffer
 		if code := run(strings.Fields(tc.args), &buf); code != 2 || !strings.Contains(buf.String(), tc.want) {

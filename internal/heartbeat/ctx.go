@@ -200,7 +200,7 @@ func (c *Ctx) corrupted(doing string) {
 // arriving at a TPAL prppt block head. Its fast path, inlined at every
 // poll site, counts off a poll the beat source asked the worker to skip
 // (a decrement and a branch). Otherwise it consults the worker's beat
-// source or flag out of line and, when a beat is pending, services it —
+// source out of line and, when a beat fired, services it —
 // paying the simulated handler cost and promoting the oldest promotable
 // latent parallelism.
 //
@@ -220,7 +220,7 @@ func (c *Ctx) Poll() {
 }
 
 // pollSlow is Poll with no skip left to count off (PollHeartbeat looks
-// again and finds none): the beat source or flag decides.
+// again and finds none): the beat source decides.
 func (c *Ctx) pollSlow() {
 	if c.w.PollHeartbeat() && !c.rt.cfg.DisablePromotion {
 		c.promoteOne()

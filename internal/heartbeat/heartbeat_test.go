@@ -248,8 +248,8 @@ func TestOuterFirstPromotesOuterLoop(t *testing.T) {
 // half of the tracer overhead contract (DESIGN.md §11): a traced
 // fine-grained loop records events per promotion, which ♥ amortizes,
 // and none per iteration or poll. Under the deterministic counting
-// mechanism a promotion costs four events (a timer mechanism adds a
-// raise and a penalty); the ceiling of eight leaves headroom for new
+// mechanism a promotion costs four events (a mechanism with a receive
+// cost adds a penalty); the ceiling of eight leaves headroom for new
 // event kinds but not for an O(iterations) one.
 func TestTracedLoopRecordsPerPromotionNotPerIteration(t *testing.T) {
 	const n = 1 << 20

@@ -7,7 +7,7 @@ import (
 )
 
 // For executes body(i) for every i in [lo, hi) with latent parallelism:
-// the loop runs serially, polling the heartbeat flag once per poll
+// the loop runs serially, polling for a heartbeat once per poll
 // stride — the promotion-latency contract: a pending heartbeat is
 // observed within PollStride iterations, never later — and a heartbeat
 // splits the remaining iterations in half, promoting the upper half

@@ -4,8 +4,8 @@
 //
 // Code written against this package is the Go analogue of the paper's
 // compiled TPAL output (Figures 3–5): loops and forks run serially by
-// default, polling a per-worker heartbeat flag at promotion-ready
-// program points; when the flag is up, the handler promotes the
+// default, polling a per-worker beat source at promotion-ready
+// program points; when a beat fires, the handler promotes the
 // task's oldest latent parallelism (the outer-most-first policy that
 // heartbeat scheduling's efficiency bounds require), splitting the
 // remaining iterations of a loop or spawning the unstarted branch of a

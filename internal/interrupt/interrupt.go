@@ -24,12 +24,10 @@
 // appears to the interrupted task — "♥ elapsed on my core, with some
 // delivery delay" — and it keeps each mechanism's cost model (timer
 // slop, serialized signaling sweep, receive-side handler cost) explicit
-// and measurable. A goroutine-backed ThreadTimer mechanism is also
-// provided for hosts with spare cores; see threadtimer.go.
+// and measurable.
 package interrupt
 
 import (
-	"math"
 	"time"
 
 	"tpal/internal/sched"
@@ -76,11 +74,10 @@ func (s Stats) AchievedRate() float64 {
 // Profile is a delivery cost model.
 type Profile struct {
 	Name string
-	// SendCost is the sender-side per-worker signaling cost. For
-	// thread-driven delivery it is paid serially by the signaling
-	// thread; for virtual-clock delivery it stretches the effective
-	// period by SendCost × workers (the sweep time), which is what caps
-	// the ping thread's throughput at small ♥.
+	// SendCost is the sender-side per-worker signaling cost. It
+	// stretches the effective period by SendCost × workers (the time one
+	// sender takes to sweep every worker), which is what caps the ping
+	// thread's throughput at small ♥.
 	SendCost time.Duration
 	// RecvCost is the receive-side handler cost the worker pays when it
 	// observes a beat (busy-waited, so it shows up in run time exactly
@@ -134,31 +131,16 @@ type None struct{}
 // Name implements Mechanism.
 func (None) Name() string { return "none" }
 
-// Start implements Mechanism. A worker with no beat source checks its
-// heartbeat flag out of line at every poll, for a thread-driven
-// mechanism's sake; None promises there is no such thread, so it
-// installs a source that turns every poll into a skipped one.
-func (None) Start(workers []*sched.Worker, _ time.Duration) {
-	for _, w := range workers {
-		w.SetBeatSource(never{})
-	}
-}
-
-type never struct{}
-
-func (never) Poll(w *sched.Worker) (bool, int64) {
-	w.SetPollSkip(math.MaxInt32)
-	return false, 0
-}
+// Start implements Mechanism. It installs nothing: a worker with no
+// beat source never sees a beat, and after its first poll every poll
+// is a skipped one.
+func (None) Start([]*sched.Worker, time.Duration) {}
 
 // Stop implements Mechanism.
 func (None) Stop() {}
 
 // Stats implements Mechanism.
 func (None) Stats() Stats { return Stats{Mechanism: "none"} }
-
-// New returns the default (virtual-clock) mechanism for a profile.
-func New(p Profile) Mechanism { return NewVirtual(p) }
 
 // NewPingThread returns the Linux ping-thread model.
 func NewPingThread() Mechanism { return NewVirtual(LinuxPingThread) }
@@ -168,9 +150,3 @@ func NewPAPI() Mechanism { return NewVirtual(LinuxPAPI) }
 
 // NewNautilus returns the Nautilus Nemo/APIC model.
 func NewNautilus() Mechanism { return NewVirtual(Nautilus) }
-
-func spinDelay(d time.Duration) {
-	start := time.Now()
-	for time.Since(start) < d {
-	}
-}

@@ -7,24 +7,44 @@ import (
 	"tpal/internal/sched"
 )
 
+// offCPUGap is the longest gap between two polls of drainPolls' tight
+// loop that still counts as polling; a longer one means the goroutine
+// was descheduled.
+const offCPUGap = 10 * time.Microsecond
+
 // drainPolls polls a worker's beat source in a tight loop for d,
-// returning the number of beats observed.
-func drainPolls(w *sched.Worker, d time.Duration) int64 {
-	var n int64
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
+// returning the number of beats observed and how much of d the loop
+// spent polling. When other processes hold every CPU the poller is
+// descheduled for whole periods, which a virtual clock skips by design
+// (a beat fires at the next poll, not one per missed period), so a rate
+// judged against d alone measures the machine's load, not the clock.
+func drainPolls(w *sched.Worker, d time.Duration) (beats int64, polling time.Duration) {
+	last := time.Now()
+	deadline := last.Add(d)
+	for now := last; now.Before(deadline); now = time.Now() {
+		if gap := now.Sub(last); gap < offCPUGap {
+			polling += gap
+		}
+		last = now
 		if w.PollHeartbeat() {
-			n++
+			beats++
 		}
 	}
-	return n
+	return beats, polling
+}
+
+// spinDelay busy-waits for d, standing in for the work between polls.
+func spinDelay(d time.Duration) {
+	start := time.Now()
+	for time.Since(start) < d {
+	}
 }
 
 func TestNoneNeverFires(t *testing.T) {
 	p := sched.NewPool(1)
 	m := None{}
 	m.Start(p.Workers(), time.Microsecond)
-	if n := drainPolls(p.Workers()[0], 5*time.Millisecond); n != 0 {
+	if n, _ := drainPolls(p.Workers()[0], 5*time.Millisecond); n != 0 {
 		t.Fatalf("None delivered %d beats", n)
 	}
 	m.Stop()
@@ -33,29 +53,46 @@ func TestNoneNeverFires(t *testing.T) {
 	}
 }
 
+// TestVirtualDeliversNearTarget holds a cost-free virtual clock to the
+// target rate. The lower bound is judged against the periods the poller
+// spent polling, and a short window is tried up to five times, since a
+// poller descheduled for most of one has too few periods to judge. The
+// upper bound and the delivery count must hold on every attempt.
 func TestVirtualDeliversNearTarget(t *testing.T) {
-	p := sched.NewPool(1)
-	m := NewVirtual(Profile{Name: "precise"}) // no costs, no slop
-	const period = 50 * time.Microsecond
-	m.Start(p.Workers(), period)
-	const window = 50 * time.Millisecond
-	n := drainPolls(p.Workers()[0], window)
-	m.Stop()
-	target := float64(window) / float64(period)
-	if float64(n) < 0.5*target || float64(n) > 1.2*target {
-		t.Fatalf("delivered %d beats, target %.0f", n, target)
+	const (
+		period = 50 * time.Microsecond
+		window = 50 * time.Millisecond
+		target = float64(window / period)
+	)
+	var n int64
+	var polled float64 // periods spent polling
+	for attempt := 0; attempt < 5; attempt++ {
+		p := sched.NewPool(1)
+		m := NewVirtual(Profile{Name: "precise"}) // no costs, no slop
+		m.Start(p.Workers(), period)
+		var polling time.Duration
+		n, polling = drainPolls(p.Workers()[0], window)
+		polled = float64(polling) / float64(period)
+		m.Stop()
+		if float64(n) > 1.2*target {
+			t.Fatalf("delivered %d beats, target %.0f", n, target)
+		}
+		st := m.Stats()
+		if st.Delivered != n {
+			t.Fatalf("stats delivered %d, observed %d", st.Delivered, n)
+		}
+		if got := st.TargetRate(); got < 19000 || got > 21000 {
+			t.Fatalf("target rate = %f", got)
+		}
+		if polled < 0.2*target || float64(n) < 0.5*polled {
+			continue
+		}
+		if ar := st.AchievedRate(); ar <= 0 {
+			t.Fatalf("achieved rate = %f", ar)
+		}
+		return
 	}
-	st := m.Stats()
-	if st.Delivered != n {
-		t.Fatalf("stats delivered %d, observed %d", st.Delivered, n)
-	}
-	if got := st.TargetRate(); got < 19000 || got > 21000 {
-		t.Fatalf("target rate = %f", got)
-	}
-	ar := st.AchievedRate()
-	if ar <= 0 {
-		t.Fatalf("achieved rate = %f", ar)
-	}
+	t.Fatalf("delivered %d beats in %.0f periods of polling (target %.0f), on each of five attempts", n, polled, target)
 }
 
 func TestVirtualSweepCapsRate(t *testing.T) {
@@ -64,7 +101,7 @@ func TestVirtualSweepCapsRate(t *testing.T) {
 	p := sched.NewPool(1)
 	m := NewVirtualSim(Profile{Name: "sweep", SendCost: 3 * time.Microsecond}, 15)
 	m.Start(p.Workers(), 20*time.Microsecond)
-	n := drainPolls(p.Workers()[0], 30*time.Millisecond)
+	n, _ := drainPolls(p.Workers()[0], 30*time.Millisecond)
 	m.Stop()
 	perSecond := float64(n) / 0.030
 	if perSecond > 1.05*(1e9/45000.0) {
@@ -74,15 +111,17 @@ func TestVirtualSweepCapsRate(t *testing.T) {
 
 func TestVirtualOrderingAcrossProfiles(t *testing.T) {
 	// Nautilus must out-deliver the Linux ping model, which must
-	// out-deliver PAPI, at a fast ♥.
+	// out-deliver PAPI, at a fast ♥: beats per second of polling, so
+	// that a profile whose window the poller spent descheduled does not
+	// lose for it.
 	rates := make(map[string]float64)
 	for _, pr := range []Profile{Nautilus, LinuxPingThread, LinuxPAPI} {
 		p := sched.NewPool(1)
 		m := NewVirtualSim(pr, 15)
 		m.Start(p.Workers(), 20*time.Microsecond)
-		n := drainPolls(p.Workers()[0], 40*time.Millisecond)
+		n, polling := drainPolls(p.Workers()[0], 40*time.Millisecond)
 		m.Stop()
-		rates[pr.Name] = float64(n)
+		rates[pr.Name] = float64(n) / polling.Seconds()
 	}
 	if !(rates[Nautilus.Name] > rates[LinuxPingThread.Name]) {
 		t.Errorf("nautilus (%f) should beat linux ping (%f)", rates[Nautilus.Name], rates[LinuxPingThread.Name])
@@ -97,7 +136,7 @@ func TestVirtualRecvCostCharged(t *testing.T) {
 	w := p.Workers()[0]
 	m := NewVirtual(Profile{Name: "pricey", RecvCost: 5 * time.Microsecond})
 	m.Start(p.Workers(), 100*time.Microsecond)
-	n := drainPolls(w, 20*time.Millisecond)
+	n, _ := drainPolls(w, 20*time.Millisecond)
 	m.Stop()
 	if n == 0 {
 		t.Fatal("no beats delivered")
@@ -173,34 +212,9 @@ func TestVirtualSkipAdaptsDown(t *testing.T) {
 	}
 }
 
-func TestThreadTimerDelivers(t *testing.T) {
-	p := sched.NewPool(2)
-	m := NewThreadTimer(Profile{Name: "thread"}, false)
-	m.Start(p.Workers(), time.Millisecond)
-	deadline := time.Now().Add(50 * time.Millisecond)
-	var seen int64
-	for time.Now().Before(deadline) {
-		for _, w := range p.Workers() {
-			if w.HeartbeatPending() && w.TakeHeartbeat() {
-				seen++
-			}
-		}
-	}
-	m.Stop()
-	if seen == 0 {
-		t.Fatal("thread timer delivered nothing")
-	}
-	if m.Stats().Delivered < seen {
-		t.Fatalf("stats %d < observed %d", m.Stats().Delivered, seen)
-	}
-	if m.Stats().Workers != 2 {
-		t.Fatalf("workers = %d", m.Stats().Workers)
-	}
-}
-
 func TestStopIsIdempotent(t *testing.T) {
 	p := sched.NewPool(1)
-	for _, m := range []Mechanism{NewVirtual(Nautilus), NewThreadTimer(Nautilus, false)} {
+	for _, m := range []Mechanism{NewVirtual(Nautilus), NewCountingPoll(10)} {
 		m.Start(p.Workers(), time.Millisecond)
 		m.Stop()
 		m.Stop() // second stop must not panic or deadlock

@@ -133,9 +133,8 @@ const (
 )
 
 // Poll implements sched.BeatSource. The receive-side handler cost is
-// returned, not paid here: the worker pays it through its single
-// consume-and-pay path, so the accounting matches thread-driven
-// mechanisms exactly.
+// returned, not paid here: the worker pays it, so the accounting is the
+// same for every mechanism.
 func (s *vstate) Poll(w *sched.Worker) (bool, int64) {
 	now := time.Since(s.mech.started).Nanoseconds()
 	switch gap := now - s.lastRead; {

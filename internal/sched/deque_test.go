@@ -232,30 +232,6 @@ func TestStatsUtilizationBounds(t *testing.T) {
 	}
 }
 
-func TestRaiseAndTakeHeartbeat(t *testing.T) {
-	p := NewPool(1)
-	w := p.Workers()[0]
-	if w.HeartbeatPending() {
-		t.Fatal("fresh worker has pending heartbeat")
-	}
-	if w.TakeHeartbeat() {
-		t.Fatal("took a heartbeat that was never raised")
-	}
-	w.RaiseHeartbeat(0)
-	if !w.HeartbeatPending() {
-		t.Fatal("raised heartbeat not pending")
-	}
-	if !w.TakeHeartbeat() {
-		t.Fatal("could not take pending heartbeat")
-	}
-	if w.HeartbeatPending() {
-		t.Fatal("heartbeat still pending after take")
-	}
-	if w.HeartbeatsSeen != 1 {
-		t.Fatalf("HeartbeatsSeen = %d, want 1", w.HeartbeatsSeen)
-	}
-}
-
 func TestPushBottomBox(t *testing.T) {
 	d := NewDeque()
 	boxes := make([]Box, 10)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -58,16 +59,17 @@ func NewPool(n int) *Pool {
 func (p *Pool) Workers() []*Worker { return p.workers }
 
 // SetTracer installs an event tracer on every worker (nil disables
-// tracing). Call before Run; the tracer must have at least as many
-// worker lanes as the pool has workers.
+// tracing). Call before Run. It panics if the tracer has fewer lanes
+// than the pool has workers: each worker records on the lane of its id,
+// unchecked.
 func (p *Pool) SetTracer(t *trace.Tracer) {
+	if t != nil && t.Lanes() < len(p.workers) {
+		panic(fmt.Sprintf("sched: tracer has %d lanes for %d workers", t.Lanes(), len(p.workers)))
+	}
 	for _, w := range p.workers {
 		w.tracer = t
 	}
 }
-
-// NumWorkers returns the worker count.
-func (p *Pool) NumWorkers() int { return len(p.workers) }
 
 // TasksCreated returns the number of tasks created during Run: one per
 // Worker.Spawn, which the heartbeat and Cilk layers call at every

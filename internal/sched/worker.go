@@ -1,23 +1,23 @@
 package sched
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 
 	"tpal/internal/trace"
 )
 
-// Worker is one scheduling thread of a Pool. Workers own a deque, a
-// heartbeat mailbox written by an interrupt mechanism, and accounting
-// counters.
+// Worker is one scheduling thread of a Pool. Workers own a deque, the
+// beat source an interrupt mechanism installs, and accounting counters.
 //
-// The heartbeat mailbox is the runtime analogue of the paper's signal
-// delivery: an interrupt mechanism (internal/interrupt) raises the flag,
-// and the running task observes it at the next promotion-ready program
-// point (a poll site emitted in the compiled loop). The mailbox also
-// carries a simulated interrupt-handler cost that the worker pays when
-// it observes the flag, modeling the receive-side overhead of a Linux
-// signal, a PAPI overflow interrupt, or a Nautilus IPI.
+// The beat source is the runtime analogue of the paper's signal
+// delivery: an interrupt mechanism (internal/interrupt) installs one per
+// worker, and the running task asks it at every promotion-ready program
+// point (a poll site emitted in the compiled loop) whether a beat fired.
+// A fired beat carries a simulated interrupt-handler cost that the
+// worker pays when it observes it, modeling the receive-side overhead of
+// a Linux signal, a PAPI overflow interrupt, or a Nautilus IPI.
 type Worker struct {
 	id    int
 	pool  *Pool
@@ -30,16 +30,14 @@ type Worker struct {
 	// interface call and a clock read, at most program points.
 	pollSkip int32
 
-	hbFlag     atomic.Uint32
-	hbPenalty  atomic.Int64 // simulated handler cost, nanoseconds
-	beatSource BeatSource   // virtual-clock delivery model, owner-polled
-	_pad       [32]byte     // keep hot heartbeat state off neighbors' lines
+	beatSource BeatSource // delivery model, owner-polled; nil: no beats
+	_pad       [32]byte   // keep hot heartbeat state off neighbors' lines
 
 	// Accounting (owner-written; read after the pool stops).
 	TasksExecuted  int64 // tasks run from deques (own or stolen)
 	Steals         int64 // successful steals
 	FailedSteals   int64
-	HeartbeatsSeen int64 // heartbeat flags observed at poll sites
+	HeartbeatsSeen int64 // beats observed at poll sites
 	PenaltyNanos   int64 // simulated handler time paid
 	BusyNanos      int64 // wall time inside top-level task execution
 	JoinIdleNanos  int64 // time spent in joins with nothing to help with
@@ -84,8 +82,7 @@ func (w *Worker) Trace(k trace.Kind, a, b int64) {
 // what the beat's receive-side handler cost is. Only the owning worker
 // calls Poll, so implementations need no internal synchronization for
 // per-worker state. The worker — not the source — pays the returned
-// penalty, through the same consume-and-pay path as mailbox-delivered
-// beats, so PenaltyNanos accounting is uniform across mechanisms.
+// penalty, so PenaltyNanos accounting is uniform across mechanisms.
 type BeatSource interface {
 	Poll(w *Worker) (fired bool, penaltyNanos int64)
 }
@@ -104,10 +101,6 @@ func (w *Worker) SetBeatSource(s BeatSource) {
 // density. Every skipped poll is detection latency, so the source owns
 // the bound. Owner-goroutine only.
 func (w *Worker) SetPollSkip(n int32) { w.pollSkip = n }
-
-// AddPenalty records simulated interrupt-handler time paid by this
-// worker. Owner-goroutine only.
-func (w *Worker) AddPenalty(nanos int64) { w.PenaltyNanos += nanos }
 
 // AddSelfWork records a completed task's self time (wall time minus time
 // spent waiting at joins), the T₁ contribution used by the at-scale
@@ -128,73 +121,30 @@ func (w *Worker) SkipPoll() bool {
 
 // PollHeartbeat is the promotion-ready program point's check: unless
 // the beat source asked for this poll to be skipped, it consults the
-// source if one is installed, else takes the heartbeat flag a
-// thread-driven mechanism raised. It returns whether a beat fired,
-// having already paid the receive-side cost: both delivery paths route
-// through the same consume-and-pay helper, so HeartbeatsSeen and
-// PenaltyNanos stay consistent whichever mechanism delivered the beat.
+// source and returns whether a beat fired, having already paid the
+// receive-side cost. A worker with no source never sees a beat: its
+// first poll parks the skip counter, so every later poll is SkipPoll's
+// inlined decrement until a source is installed.
 func (w *Worker) PollHeartbeat() bool {
 	if w.SkipPoll() {
 		return false
 	}
-	if s := w.beatSource; s != nil {
-		fired, penalty := s.Poll(w)
-		if !fired {
-			return false
-		}
-		w.consumeBeat(penalty)
-		return true
-	}
-	if w.hbFlag.Load() == 0 {
+	s := w.beatSource
+	if s == nil {
+		w.pollSkip = math.MaxInt32
 		return false
 	}
-	return w.TakeHeartbeat()
-}
-
-// RaiseHeartbeat sets the worker's heartbeat flag; the running task
-// observes it at its next poll site. penaltyNanos is the simulated
-// receive-side interrupt-handling cost the worker will pay on
-// observation. Safe to call from any goroutine.
-func (w *Worker) RaiseHeartbeat(penaltyNanos int64) {
-	w.hbPenalty.Store(penaltyNanos)
-	w.hbFlag.Store(1)
-	w.tracer.RecordExternal(trace.EvBeatRaise, int64(w.id), penaltyNanos)
-}
-
-// HeartbeatPending reports whether a heartbeat is waiting, without
-// consuming it. This is the fast path: one atomic load.
-func (w *Worker) HeartbeatPending() bool {
-	return w.hbFlag.Load() != 0
-}
-
-// takeSeam, when non-nil, runs between the flag consume and the penalty
-// read inside TakeHeartbeat. Tests use it to pin the exact interleaving
-// of a concurrent RaiseHeartbeat against an in-flight take; it is nil
-// outside tests.
-var takeSeam func(*Worker)
-
-// TakeHeartbeat consumes a pending heartbeat, paying the simulated
-// handler cost, and reports whether one was pending. Both the flag and
-// the penalty are consumed with Swap so that a RaiseHeartbeat racing
-// with an in-flight take can never have its penalty paid twice: whoever
-// swaps the penalty out pays it, exactly once, and a later take of the
-// re-raised flag finds zero.
-func (w *Worker) TakeHeartbeat() bool {
-	if w.hbFlag.Swap(0) == 0 {
+	fired, penalty := s.Poll(w)
+	if !fired {
 		return false
 	}
-	if takeSeam != nil {
-		takeSeam(w)
-	}
-	w.consumeBeat(w.hbPenalty.Swap(0))
+	w.consumeBeat(penalty)
 	return true
 }
 
-// consumeBeat is the single consume-and-pay path for an observed
-// heartbeat, whatever mechanism delivered it: it counts the beat, pays
-// the receive-side handler cost (accounted and busy-waited, as a signal
-// handler's time would be), and records the trace events.
-// Owner-goroutine only.
+// consumeBeat counts an observed heartbeat, pays its receive-side
+// handler cost (accounted and busy-waited, as a signal handler's time
+// would be), and records the trace events. Owner-goroutine only.
 func (w *Worker) consumeBeat(penaltyNanos int64) {
 	w.HeartbeatsSeen++
 	w.Trace(trace.EvBeatObserve, penaltyNanos, 0)

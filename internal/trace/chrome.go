@@ -19,9 +19,6 @@ type chromeEvent struct {
 	Args  map[string]int64 `json:"args,omitempty"`
 }
 
-// extTID is the thread id Chrome export assigns the external lane.
-const extTID = 1000
-
 // WriteChrome exports a drained trace in Chrome trace_event JSON
 // format: workers become threads, task executions become nested
 // duration events, everything else becomes thread-scoped instants.
@@ -29,9 +26,6 @@ func WriteChrome(w io.Writer, tr *Trace) error {
 	events := make([]chromeEvent, 0, len(tr.Events))
 	for _, e := range tr.Events {
 		ce := chromeEvent{TS: float64(e.TS) / 1e3, PID: 1, TID: int(e.Worker)}
-		if e.Worker == LaneExternal {
-			ce.TID = extTID
-		}
 		switch e.Kind {
 		case EvTaskStart:
 			ce.Name, ce.Phase = "task", "B"

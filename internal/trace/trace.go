@@ -16,23 +16,21 @@
 // therefore exact even when events were overwritten.
 //
 // Lanes: a Tracer created with New(workers, capacity) has one ring per
-// worker (lane = worker id, owner-written, unsynchronized) plus one
-// external lane (LaneExternal) for threads that are not workers —
-// interrupt mechanisms raising heartbeats, for example — guarded by a
-// mutex, which is acceptable because external events are rare (one per
-// delivered beat at most).
+// worker (lane = worker id, owner-written, unsynchronized). Every event
+// is recorded by the worker it describes, on its own lane. Record
+// indexes the lane directly, so sched.Pool.SetTracer checks the lane
+// count once, at setup.
 //
 // Synchronization contract: Record(lane, ...) may only be called by
-// that lane's owning goroutine; RecordExternal may be called from any
-// goroutine; Drain may only be called after every recording goroutine
-// has finished (for the scheduler pool this is guaranteed by Pool.Run
-// returning, which happens-after every worker exit).
+// that lane's owning goroutine; Drain may only be called after every
+// recording goroutine has finished (for the scheduler pool this is
+// guaranteed by Pool.Run returning, which happens-after every worker
+// exit).
 package trace
 
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 	"time"
 )
 
@@ -55,9 +53,6 @@ const (
 	// in the worker's FailedSteals counter). A = number of victims
 	// examined.
 	EvStealFail
-	// EvBeatRaise is a heartbeat raised by a mechanism thread (recorded
-	// on the external lane). A = target worker id, B = penalty nanos.
-	EvBeatRaise
 	// EvBeatObserve is a heartbeat observed at a poll site; A = the
 	// receive-side penalty charged (nanos, 0 for cost-free mechanisms).
 	EvBeatObserve
@@ -88,8 +83,8 @@ const (
 
 var kindNames = [numKinds]string{
 	"task-start", "task-end", "steal", "steal-fail",
-	"beat-raise", "beat-observe", "beat-penalty", "promotion",
-	"join-begin", "join-end", "fuel-check", "gap",
+	"beat-observe", "beat-penalty", "promotion", "join-begin",
+	"join-end", "fuel-check", "gap",
 }
 
 func (k Kind) String() string {
@@ -98,10 +93,6 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
-
-// LaneExternal is the Worker value of events recorded by non-worker
-// threads (interrupt mechanisms).
-const LaneExternal int32 = -1
 
 // Event is one trace record. TS is nanoseconds since the tracer was
 // created (monotonic).
@@ -113,12 +104,8 @@ type Event struct {
 }
 
 func (e Event) String() string {
-	lane := fmt.Sprintf("w%d", e.Worker)
-	if e.Worker == LaneExternal {
-		lane = "ext"
-	}
-	return fmt.Sprintf("%10.3fµs %-4s %-12s a=%d b=%d",
-		float64(e.TS)/1e3, lane, e.Kind.String(), e.A, e.B)
+	return fmt.Sprintf("%10.3fµs w%-3d %-12s a=%d b=%d",
+		float64(e.TS)/1e3, e.Worker, e.Kind.String(), e.A, e.B)
 }
 
 // gapBuckets is the histogram width: log2 buckets over int64 values.
@@ -161,10 +148,8 @@ func bucketOf(v int64) int {
 // Tracer collects events for one run. The zero value of *Tracer (nil)
 // is the disabled tracer: all Record methods return immediately.
 type Tracer struct {
-	start   time.Time
-	rings   []*ring // lanes 0..workers-1; last entry is the external lane
-	workers int
-	extMu   sync.Mutex
+	start time.Time
+	rings []*ring // one per lane; lane = worker id
 
 	// sink, when set, mirrors every recorded event to a live consumer
 	// (serve's job event stream). It is called synchronously from the
@@ -199,16 +184,21 @@ func New(workers, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	t := &Tracer{start: time.Now(), workers: workers}
-	t.rings = make([]*ring, workers+1)
+	t := &Tracer{start: time.Now()}
+	t.rings = make([]*ring, workers)
 	for i := range t.rings {
 		t.rings[i] = &ring{events: make([]Event, capacity)}
 	}
 	return t
 }
 
-// Enabled reports whether the tracer records events (i.e. is non-nil).
-func (t *Tracer) Enabled() bool { return t != nil }
+// Lanes returns the number of worker lanes (0 for the nil tracer).
+func (t *Tracer) Lanes() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.rings)
+}
 
 // Now returns the tracer's clock: nanoseconds since New.
 func (t *Tracer) Now() int64 {
@@ -218,35 +208,17 @@ func (t *Tracer) Now() int64 {
 	return time.Since(t.start).Nanoseconds()
 }
 
-// Record appends an event to the worker's lane. Owner-goroutine only;
-// a nil receiver is a no-op (the always-compiled disabled path).
+// Record appends an event to the worker's lane, which must be in
+// 0..Lanes()-1. Owner-goroutine only; a nil receiver is a no-op (the
+// always-compiled disabled path).
 func (t *Tracer) Record(worker int, k Kind, a, b int64) {
 	if t == nil {
-		return
-	}
-	if worker < 0 || worker >= t.workers {
-		t.RecordExternal(k, a, b)
 		return
 	}
 	ts := time.Since(t.start).Nanoseconds()
 	t.rings[worker].record(ts, int32(worker), k, a, b)
 	if t.sink != nil {
 		t.sink(Event{TS: ts, Worker: int32(worker), Kind: k, A: a, B: b})
-	}
-}
-
-// RecordExternal appends an event to the external lane. Safe from any
-// goroutine; a nil receiver is a no-op.
-func (t *Tracer) RecordExternal(k Kind, a, b int64) {
-	if t == nil {
-		return
-	}
-	ts := time.Since(t.start).Nanoseconds()
-	t.extMu.Lock()
-	t.rings[t.workers].record(ts, LaneExternal, k, a, b)
-	t.extMu.Unlock()
-	if t.sink != nil {
-		t.sink(Event{TS: ts, Worker: LaneExternal, Kind: k, A: a, B: b})
 	}
 }
 
@@ -300,7 +272,7 @@ func (t *Tracer) Drain() *Trace {
 	if t == nil {
 		return tr
 	}
-	tr.Workers = t.workers
+	tr.Workers = len(t.rings)
 	tr.Duration = time.Since(t.start)
 	total := 0
 	for _, r := range t.rings {

@@ -4,18 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
+	if tr.Lanes() != 0 {
+		t.Fatalf("nil tracer reports %d lanes", tr.Lanes())
 	}
 	// None of these may panic.
 	tr.Record(0, EvTaskStart, 1, 2)
-	tr.RecordExternal(EvBeatRaise, 0, 0)
 	_ = tr.Now()
 	if n := testing.AllocsPerRun(1000, func() { tr.Record(0, EvTaskStart, 1, 2) }); n != 0 {
 		t.Fatalf("Record on a nil tracer allocates %v per call", n)
@@ -42,7 +40,7 @@ func TestRecordAndDrainOrdering(t *testing.T) {
 	tr.Record(0, EvTaskStart, 1, 0)
 	tr.Record(1, EvSteal, 0, 0)
 	tr.Record(0, EvTaskEnd, 1, 0)
-	tr.RecordExternal(EvBeatRaise, 1, 42)
+	tr.Record(1, EvBeatObserve, 42, 0)
 
 	d := tr.Drain()
 	if len(d.Events) != 4 {
@@ -53,17 +51,17 @@ func TestRecordAndDrainOrdering(t *testing.T) {
 			t.Fatalf("events out of timestamp order at %d", i)
 		}
 	}
-	if d.Count(EvSteal) != 1 || d.Count(EvBeatRaise) != 1 {
+	if d.Count(EvSteal) != 1 || d.Count(EvBeatObserve) != 1 {
 		t.Fatalf("counts wrong: %v", d.CountMap())
 	}
-	var ext *Event
+	var beat *Event
 	for i := range d.Events {
-		if d.Events[i].Kind == EvBeatRaise {
-			ext = &d.Events[i]
+		if d.Events[i].Kind == EvBeatObserve {
+			beat = &d.Events[i]
 		}
 	}
-	if ext == nil || ext.Worker != LaneExternal || ext.B != 42 {
-		t.Fatalf("external event wrong: %+v", ext)
+	if beat == nil || beat.Worker != 1 || beat.A != 42 {
+		t.Fatalf("beat event wrong: %+v", beat)
 	}
 }
 
@@ -106,33 +104,6 @@ func TestDrainTwice(t *testing.T) {
 	a, b := tr.Drain(), tr.Drain()
 	if len(a.Events) != 1 || len(b.Events) != 1 {
 		t.Fatalf("drains disagree: %d vs %d", len(a.Events), len(b.Events))
-	}
-}
-
-func TestRecordExternalConcurrent(t *testing.T) {
-	tr := New(1, 1024)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				tr.RecordExternal(EvBeatRaise, 0, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := tr.Drain().Count(EvBeatRaise); n != 800 {
-		t.Fatalf("external count %d, want 800", n)
-	}
-}
-
-func TestOutOfRangeLaneGoesExternal(t *testing.T) {
-	tr := New(1, 8)
-	tr.Record(5, EvSteal, 0, 0) // lane 5 does not exist
-	d := tr.Drain()
-	if len(d.Events) != 1 || d.Events[0].Worker != LaneExternal {
-		t.Fatalf("out-of-range record not redirected: %+v", d.Events)
 	}
 }
 
@@ -198,11 +169,11 @@ func TestServiceLatencies(t *testing.T) {
 }
 
 func TestWriteChromeIsValidJSON(t *testing.T) {
-	tr := New(1, 64)
+	tr := New(2, 64)
 	tr.Record(0, EvTaskStart, 1, 0)
 	tr.Record(0, EvSteal, 0, 0)
 	tr.Record(0, EvTaskEnd, 1, 0)
-	tr.RecordExternal(EvBeatRaise, 0, 5)
+	tr.Record(1, EvBeatObserve, 5, 0)
 
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, tr.Drain()); err != nil {
@@ -225,8 +196,8 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 	phases := map[string]int{}
 	for _, e := range doc.TraceEvents {
 		phases[e.Phase]++
-		if e.Name == "beat-raise" && e.TID != extTID {
-			t.Fatalf("external event on tid %d, want %d", e.TID, extTID)
+		if e.Name == "beat-observe" && e.TID != 1 {
+			t.Fatalf("worker 1's event on tid %d", e.TID)
 		}
 	}
 	if phases["B"] != 1 || phases["E"] != 1 || phases["i"] != 2 {
