@@ -7,7 +7,6 @@
 // Checks:
 //
 //	boolcompare   comparison against a bool literal (x == true, y != false)
-//	selfassign    assigning an expression to itself (x = x)
 //	emptybranch   if or else branch with an empty body
 //	sprintfconst  fmt.Sprintf/Errorf/Printf-family call whose format
 //	              string contains no verb — the call is a costlier
@@ -112,8 +111,6 @@ func lintFile(fset *token.FileSet, f *ast.File) []string {
 		case *ast.BinaryExpr:
 			checkBoolCompare(fset, n, report)
 			checkLenZero(fset, n, report)
-		case *ast.AssignStmt:
-			checkSelfAssign(fset, n, report)
 		case *ast.IfStmt:
 			checkEmptyBranch(n, report)
 		case *ast.CallExpr:
@@ -177,31 +174,6 @@ func checkLenZero(fset *token.FileSet, n *ast.BinaryExpr, report func(token.Pos,
 		report(n.Pos(), "lenzero",
 			fmt.Sprintf("len(%s) %s 0 is always %v", render(fset, call.Args[0]), n.Op, n.Op == token.GEQ))
 	}
-}
-
-// checkSelfAssign flags x = x (any position in a multi-assign).
-func checkSelfAssign(fset *token.FileSet, n *ast.AssignStmt, report func(token.Pos, string, string)) {
-	if n.Tok != token.ASSIGN || len(n.Lhs) != len(n.Rhs) {
-		return
-	}
-	for i := range n.Lhs {
-		l, r := render(fset, n.Lhs[i]), render(fset, n.Rhs[i])
-		// Only flag plain identifier/selector chains: an index or call
-		// on either side can have effects worth keeping.
-		if l == r && isPure(n.Lhs[i]) {
-			report(n.Pos(), "selfassign", fmt.Sprintf("%s is assigned to itself", l))
-		}
-	}
-}
-
-func isPure(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return true
-	case *ast.SelectorExpr:
-		return isPure(e.X)
-	}
-	return false
 }
 
 // checkEmptyBranch flags if/else branches whose body is empty: either

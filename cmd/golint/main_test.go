@@ -29,15 +29,6 @@ func f(b bool) bool { return b == true }`, "boolcompare"},
 func f(b bool) bool { return false != b }`, "boolcompare"},
 		{"boolcompare-clean", `package x
 func f(b, c bool) bool { return b == c }`, ""},
-		{"selfassign", `package x
-func f(a int) { a = a }`, "selfassign"},
-		{"selfassign-field", `package x
-type t struct{ n int }
-func f(v t) { v.n = v.n }`, "selfassign"},
-		{"selfassign-swap-clean", `package x
-func f(a, b int) (int, int) { a, b = b, a; return a, b }`, ""},
-		{"selfassign-index-clean", `package x
-func f(a []int, i func() int) { a[i()] = a[i()] }`, ""},
 		{"emptybranch-if", `package x
 func f(b bool) { if b { } }`, "emptybranch"},
 		{"emptybranch-else", `package x

@@ -68,6 +68,46 @@ func TestPromotionIsSingleAllocation(t *testing.T) {
 			t.Fatalf("For promotion allocs/op = %v, want exactly 1 (steady state)", allocs)
 		}
 	})
+
+	// A fold's children slice keeps its capacity across resets, so each
+	// promotion is the foldTask allocation alone: the child's view is
+	// made when it runs, not when it is promoted.
+	t.Run("Reduce", func(t *testing.T) {
+		allocs := measurePromotionAllocs(t, func(c *Ctx) func() {
+			return resetFold(c, &foldState[partial[int], reducer[int]]{f: reducer[int]{addInts, spanLen}})
+		})
+		if allocs != 1 {
+			t.Fatalf("Reduce promotion allocs/op = %v, want exactly 1", allocs)
+		}
+	})
+
+	t.Run("Accumulate", func(t *testing.T) {
+		type view struct{ n int }
+		allocs := measurePromotionAllocs(t, func(c *Ctx) func() {
+			return resetFold(c, &foldState[*view, accumulator[*view]]{f: accumulator[*view]{
+				newAcc:  func() *view { return &view{} },
+				combine: func(into, from *view) { into.n += from.n },
+				leaf:    func(v *view, lo, hi int) { v.n += hi - lo },
+			}})
+		})
+		if allocs != 1 {
+			t.Fatalf("Accumulate promotion allocs/op = %v, want exactly 1", allocs)
+		}
+	})
+}
+
+// resetFold leaves s latent on c, as a long Reduce or Accumulate does
+// while it folds, and returns the reset that rearms it with 1024
+// indices and no children.
+func resetFold[V any, F folder[V]](c *Ctx, s *foldState[V, F]) func() {
+	s.children = make([]*foldTask[V, F], 0, 1)
+	c.pushMark(s)
+	return func() {
+		s.next, s.stop = 0, 1024
+		clear(s.children[:cap(s.children)])
+		s.children = s.children[:0]
+		s.pending.Store(0)
+	}
 }
 
 // pushLatentFrame leaves f(·, arg) latent on c, as Fork2Call does while

@@ -115,14 +115,6 @@ func (c *Ctx) SpanNow() int64 {
 	return s
 }
 
-// waitJoin waits on a join counter, attributing the whole wait (helping
-// other tasks or idling) to non-self time.
-func (c *Ctx) waitJoin(pending *atomic.Int64) {
-	t0 := time.Now()
-	c.w.WaitJoin(pending)
-	c.helped += time.Since(t0).Nanoseconds()
-}
-
 // raiseFloor folds a joined child's final span into this task's span.
 func (c *Ctx) raiseFloor(span int64) {
 	if span > c.floor {
@@ -155,7 +147,8 @@ func maxInto(a *atomic.Int64, v int64) {
 func (c *Ctx) Worker() *sched.Worker { return c.w }
 
 // mark is latent parallelism a mark-list entry can refer to through an
-// interface: a callStack or a reduction in progress.
+// interface. It has two implementers: a callStack and a foldState (a
+// Reduce or Accumulate in progress).
 type mark interface {
 	// promote manifests latent parallelism of the mark-list entry at as
 	// a task if possible, returning whether a task was created.
@@ -169,7 +162,7 @@ type mark interface {
 // once, not once per call: the run starts at frame lo and extends to
 // hi, or to the top of the stack while it is the stack's newest run (hi
 // is written when a younger run opens). prev is the stack's top before
-// the run opened, restored when it closes. Any other m (a reduction)
+// the run opened, restored when it closes. With m a foldState the entry
 // uses no further field.
 type markRef struct {
 	m            mark
@@ -258,9 +251,12 @@ type join struct {
 }
 
 // wait joins the promoted tasks counted in j: the task helps with other
-// work until they are done, then folds their span into its own.
+// work until they are done, then folds their span into its own. The
+// whole wait (helping other tasks or idling) counts as non-self time.
 func (c *Ctx) wait(j *join) {
-	c.waitJoin(&j.pending)
+	t0 := time.Now()
+	c.w.WaitJoin(&j.pending)
+	c.helped += time.Since(t0).Nanoseconds()
 	c.raiseFloor(j.spanMax.Load())
 }
 

@@ -114,6 +114,38 @@ func TestReduceOrderedConcat(t *testing.T) {
 	}
 }
 
+// TestAccumulateOrderedConcat is TestReduceOrderedConcat for
+// Accumulate: views are slices appended in place, and a beat at every
+// poll promotes as often as the fold allows, so the views must merge in
+// range order for the result to come out sorted.
+func TestAccumulateOrderedConcat(t *testing.T) {
+	cfg := Config{Workers: 4, Mechanism: interrupt.NewCountingPoll(1), PollStride: 4}
+	const n = 2000
+	type view struct{ xs []int }
+	var got *view
+	st := Run(cfg, func(c *Ctx) {
+		got = Accumulate(c, 0, n,
+			func() *view { return &view{} },
+			func(into, from *view) { into.xs = append(into.xs, from.xs...) },
+			func(v *view, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					v.xs = append(v.xs, i)
+				}
+			})
+	})
+	if st.Promotions == 0 {
+		t.Fatal("no promotions: the merge order went untested")
+	}
+	if len(got.xs) != n {
+		t.Fatalf("got %d elements, want %d", len(got.xs), n)
+	}
+	for i, v := range got.xs {
+		if v != i {
+			t.Fatalf("position %d holds %d: merge order violated", i, v)
+		}
+	}
+}
+
 func TestFork2RunsBoth(t *testing.T) {
 	for ci, cfg := range configs() {
 		var aRan, bRan atomic.Int64

@@ -1,10 +1,6 @@
 package heartbeat
 
-import (
-	"sync/atomic"
-
-	"tpal/internal/sched"
-)
+import "tpal/internal/sched"
 
 // For executes body(i) for every i in [lo, hi) with latent parallelism:
 // the loop runs serially, polling for a heartbeat once per poll
@@ -193,104 +189,172 @@ func Reduce[T any](c *Ctx, lo, hi int, combine func(T, T) T, leaf func(lo, hi in
 		return zero
 	}
 	// Fast path, as in ForNested: a sub-stride range cannot be promoted,
-	// so it needs no reduction state.
+	// so it needs no fold state.
 	if hi-lo <= c.rt.cfg.PollStride {
 		v := leaf(lo, hi)
 		c.Poll()
 		return v
 	}
-	rs := &reduceState[T]{next: lo, stop: hi, combine: combine, leaf: leaf}
-	runReduce(c, rs)
-	acc := rs.acc
-	if len(rs.children) > 0 {
-		c.waitJoin(&rs.pending)
-		c.raiseFloor(rs.spanMax.Load())
-		// Children were split off the tail of the remaining range, so
-		// successive promotions cover earlier ranges: fold them back in
-		// reverse promotion order to preserve range order.
-		for i := len(rs.children) - 1; i >= 0; i-- {
-			acc = combine(acc, rs.children[i].value)
-		}
+	s := &foldState[partial[T], reducer[T]]{f: reducer[T]{combine, leaf}, next: lo, stop: hi}
+	return s.run(c).v
+}
+
+// Accumulate folds [lo, hi) into a mutable accumulator with latent
+// parallelism: the loop owns one accumulator view and mutates it in
+// place; a promotion gives the child task its own fresh view, and views
+// merge (in range order) at the join. This is the runtime analogue of
+// reducer views in Cilk and of the paper's kmeans port, which pays for
+// an auxiliary accumulation structure only when parallelism actually
+// manifests... except for the one view the serial path needs.
+//
+// T is typically a pointer type; newAcc creates an identity view, leaf
+// folds a block into a view, and merge folds a later-range view into an
+// earlier-range one. Like For, the fold polls the heartbeat once per
+// poll stride of iterations, keeping promotion latency within the
+// PollStride contract even though leaf blocks run back to back.
+func Accumulate[T any](c *Ctx, lo, hi int, newAcc func() T, merge func(into, from T), leaf func(acc T, lo, hi int)) T {
+	acc := newAcc()
+	if hi-lo <= 0 {
+		return acc
 	}
+	if hi-lo <= c.rt.cfg.PollStride {
+		leaf(acc, lo, hi)
+		c.Poll()
+		return acc
+	}
+	s := &foldState[T, accumulator[T]]{f: accumulator[T]{newAcc, merge, leaf}, next: lo, stop: hi, v: acc}
+	return s.run(c)
+}
+
+// folder is what a latent range fold folds with: view returns a fresh
+// view (the identity), fold folds the block [lo, hi) into v, and merge
+// folds a later-range view into an earlier-range one. Both return the
+// view, so a view may be a value or a pointer mutated in place.
+type folder[V any] interface {
+	view() V
+	fold(v V, lo, hi int) V
+	merge(into, from V) V
+}
+
+// partial is Reduce's view: the fold so far, if any block has been
+// folded (T's zero value need not be combine's identity).
+type partial[T any] struct {
+	v  T
+	ok bool
+}
+
+type reducer[T any] struct {
+	combine func(T, T) T
+	leaf    func(int, int) T
+}
+
+func (reducer[T]) view() partial[T] { return partial[T]{} }
+
+func (r reducer[T]) fold(p partial[T], lo, hi int) partial[T] {
+	return r.add(p, r.leaf(lo, hi))
+}
+
+// merge adds a child's fold, which is never empty: a promoted range
+// holds at least one index.
+func (r reducer[T]) merge(into, from partial[T]) partial[T] { return r.add(into, from.v) }
+
+func (r reducer[T]) add(p partial[T], v T) partial[T] {
+	if p.ok {
+		v = r.combine(p.v, v)
+	}
+	return partial[T]{v, true}
+}
+
+type accumulator[T any] struct {
+	newAcc  func() T
+	combine func(T, T)
+	leaf    func(T, int, int)
+}
+
+func (a accumulator[T]) view() T { return a.newAcc() }
+
+func (a accumulator[T]) fold(acc T, lo, hi int) T {
+	a.leaf(acc, lo, hi)
 	return acc
 }
 
-// reduceState is the promotion-ready mark of a Reduce in progress.
-type reduceState[T any] struct {
+func (a accumulator[T]) merge(into, from T) T {
+	a.combine(into, from)
+	return into
+}
+
+// foldState is the promotion-ready mark of a latent range fold in
+// progress: the view v folds the indices [next, stop). Promotion (from
+// a poll on the owning goroutine) shrinks stop and hands the upper half
+// of what remains to a child task with a view of its own; the running
+// fold advances next. The children join through the embedded join.
+type foldState[V any, F folder[V]] struct {
+	f          F
 	next, stop int
-	combine    func(T, T) T
-	leaf       func(int, int) T
-	acc        T
-	started    bool // acc holds a value (avoid combining with uninitialized zero when T's zero is not an identity)
-
-	children []*reduceTask[T]
-	pending  atomic.Int64
-	spanMax  atomic.Int64
+	v          V
+	join
+	children []*foldTask[V, F]
 }
 
-// reduceTask is a promoted Reduce range: the task, its deque box, and
-// the slot its partial result lands in are one allocation. The parent's
-// reduceState carries the join counters, so nothing else is allocated.
-type reduceTask[T any] struct {
-	box     sched.Box
-	value   T
-	lo, hi  int
-	combine func(T, T) T
-	leaf    func(int, int) T
-	pending *atomic.Int64
-	spanMax *atomic.Int64
-	rt      *RT
-	base    int64
-	recID   int
-}
-
-// Run implements sched.Task.
-func (t *reduceTask[T]) Run(w *sched.Worker) {
-	cc := newCtx(w, t.rt, t.base, t.recID)
-	t.value = Reduce(cc, t.lo, t.hi, t.combine, t.leaf)
-	maxInto(t.spanMax, cc.retire())
-	t.pending.Add(-1)
-}
-
-func runReduce[T any](c *Ctx, rs *reduceState[T]) {
-	c.pushMark(rs)
+// run folds s's range with stride polling, then joins the children and
+// merges their views into s.v — in reverse promotion order, since each
+// promotion splits off the tail of what remained, so successive
+// children cover earlier ranges — and returns the result.
+func (s *foldState[V, F]) run(c *Ctx) V {
+	c.pushMark(s)
 	stride := c.rt.cfg.PollStride
-	for rs.next < rs.stop {
-		end := rs.next + stride
-		if end > rs.stop {
-			end = rs.stop
-		}
-		v := rs.leaf(rs.next, end)
-		if rs.started {
-			rs.acc = rs.combine(rs.acc, v)
-		} else {
-			rs.acc = v
-			rs.started = true
-		}
-		rs.next = end
+	for s.next < s.stop {
+		end := min(s.next+stride, s.stop)
+		s.v = s.f.fold(s.v, s.next, end)
+		s.next = end
 		c.Poll()
 	}
-	c.popMark(rs)
+	c.popMark(s)
+	if len(s.children) > 0 {
+		c.wait(&s.join)
+		for i := len(s.children) - 1; i >= 0; i-- {
+			s.v = s.f.merge(s.v, s.children[i].v)
+		}
+	}
+	return s.v
 }
 
-func (rs *reduceState[T]) promote(c *Ctx, _ int) bool {
-	remaining := rs.stop - rs.next
+func (s *foldState[V, F]) promote(c *Ctx, _ int) bool {
+	remaining := s.stop - s.next
 	if remaining < 2 {
 		return false
 	}
-	mid := rs.next + remaining/2
-	childLo, childHi := mid, rs.stop
-	rs.stop = mid
-
-	t := &reduceTask[T]{
-		lo: childLo, hi: childHi,
-		combine: rs.combine, leaf: rs.leaf,
-		pending: &rs.pending, spanMax: &rs.spanMax,
-		rt: c.rt, base: c.SpanNow(), recID: c.recordSpawn(),
+	mid := s.next + remaining/2
+	t := &foldTask[V, F]{
+		foldState: foldState[V, F]{f: s.f, next: mid, stop: s.stop},
+		parent:    &s.join,
+		rt:        c.rt, base: c.SpanNow(), recID: c.recordSpawn(),
 	}
-	rs.children = append(rs.children, t)
-	rs.pending.Add(1)
+	s.stop = mid
+	s.children = append(s.children, t)
+	s.pending.Add(1)
 	t.box.Bind(t)
 	c.w.Spawn(&t.box)
 	return true
+}
+
+// foldTask is a promoted fold range. The task, its deque box, and the
+// fold state its range runs in — the mark, the view the parent merges,
+// and its own children's join — are one allocation.
+type foldTask[V any, F folder[V]] struct {
+	box sched.Box
+	foldState[V, F]
+	parent *join
+	rt     *RT
+	base   int64
+	recID  int
+}
+
+// Run implements sched.Task.
+func (t *foldTask[V, F]) Run(w *sched.Worker) {
+	cc := newCtx(w, t.rt, t.base, t.recID)
+	t.v = t.f.view()
+	t.run(cc)
+	maxInto(&t.parent.spanMax, cc.retire())
+	t.parent.pending.Add(-1)
 }

@@ -201,7 +201,9 @@ func TestDeepRecursionGrowsFrameStackMidCall(t *testing.T) {
 // TestMarkListCorruptionPanics breaks the stack discipline of the mark
 // list in each way a combinator checks for, and expects the panic.
 func TestMarkListCorruptionPanics(t *testing.T) {
-	type dummy struct{ reduceState[int] }
+	type dummy struct {
+		foldState[partial[int], reducer[int]]
+	}
 	a, b := &dummy{}, &dummy{}
 	for _, tc := range []struct {
 		name string

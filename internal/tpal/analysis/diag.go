@@ -136,7 +136,7 @@ const (
 // analysis and its induction/trip-count pass.
 const (
 	CodeTripDivergent     Code = "TP090" // loop is statically divergent: no feasible exit once entered
-	CodeTripCeiling       Code = "TP091" // inferred trip bound exceeds the configured ceiling
+	CodeTripCeiling       Code = "TP091" // inferred trip bound exceeds the fixed ceiling
 	CodeTripContradiction Code = "TP092" // loop guard contradicted by the entry state: body unreachable
 )
 

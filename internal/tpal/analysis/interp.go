@@ -19,10 +19,6 @@ type Options struct {
 	// pass assumes entry registers hold no stack pointers (the embedder
 	// API passes integers and labels).
 	Races bool
-	// TripCeiling caps inferred loop trip upper bounds: a loop whose
-	// phase-7 trip bound exceeds it gets a TP091 warning. Zero or
-	// negative selects DefaultTripCeiling.
-	TripCeiling int64
 }
 
 // interp is the product abstract interpreter: one walk of a block both

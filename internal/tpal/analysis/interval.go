@@ -184,41 +184,6 @@ func ivCmp(op tpal.Op, a, b ival) ival {
 	return ivBool()
 }
 
-// ivConstOp mirrors the machine's exact wrapping int64 semantics on two
-// known values (machine.binop); ok is false when the machine would
-// fault (division by zero).
-func ivConstOp(op tpal.Op, x, y int64) (int64, bool) {
-	switch op {
-	case tpal.OpAdd:
-		return x + y, true
-	case tpal.OpSub:
-		return x - y, true
-	case tpal.OpMul:
-		return x * y, true
-	case tpal.OpDiv:
-		if y == 0 {
-			return 0, false
-		}
-		return x / y, true
-	case tpal.OpMod:
-		if y == 0 {
-			return 0, false
-		}
-		return x % y, true
-	case tpal.OpAnd:
-		return x & y, true
-	case tpal.OpOr:
-		return x | y, true
-	case tpal.OpXor:
-		return x ^ y, true
-	case tpal.OpShl:
-		return x << uint64(y), true
-	case tpal.OpShr:
-		return x >> uint64(y), true
-	}
-	return 0, false
-}
-
 // ivBinop is the abstract transfer of rd := rs op v.
 func ivBinop(op tpal.Op, a, b ival) ival {
 	if op.IsComparison() {
@@ -226,7 +191,7 @@ func ivBinop(op tpal.Op, a, b ival) ival {
 	}
 	if x, okX := a.singleton(); okX {
 		if y, okY := b.singleton(); okY {
-			if v, ok := ivConstOp(op, x, y); ok {
+			if v, ok := op.Eval(x, y); ok {
 				return ivConst(v)
 			}
 			return ivTop() // faulting path; the TP031 check owns the diagnostic

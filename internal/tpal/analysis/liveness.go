@@ -187,87 +187,30 @@ func buildSegGraph(p *tpal.Program, sharp []Edge, reached map[tpal.Label]bool) *
 // with the cut edges removed and optionally restricted to positions of
 // the given blocks.
 func (sg *segGraph) sccs(useCut bool, within map[tpal.Label]bool) [][]int {
-	n := len(sg.list)
 	keepNode := func(i int) bool { return within == nil || within[sg.list[i].b] }
 	keepEdge := func(e segEdge) bool { return (!useCut || !e.cut) && keepNode(e.to) }
-
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
+	deg := func(v int) int {
+		if !keepNode(v) {
+			return 0
+		}
+		return len(sg.adj[v])
 	}
-	var stack []int
+	succ := func(v, k int) int {
+		if e := sg.adj[v][k]; keepEdge(e) {
+			return e.to
+		}
+		return -1
+	}
 	var out [][]int
-	next := 0
-
-	type frame struct {
-		node int
-		edge int
-	}
-	for root := 0; root < n; root++ {
-		if index[root] >= 0 || !keepNode(root) {
+	for _, scc := range tarjan(len(sg.list), deg, succ) {
+		if len(scc) > 1 {
+			out = append(out, scc)
 			continue
 		}
-		call := []frame{{node: root}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(call) > 0 {
-			f := &call[len(call)-1]
-			advanced := false
-			for f.edge < len(sg.adj[f.node]) {
-				e := sg.adj[f.node][f.edge]
-				f.edge++
-				if !keepEdge(e) {
-					continue
-				}
-				if index[e.to] < 0 {
-					index[e.to], low[e.to] = next, next
-					next++
-					stack = append(stack, e.to)
-					onStack[e.to] = true
-					call = append(call, frame{node: e.to})
-					advanced = true
-					break
-				}
-				if onStack[e.to] && index[e.to] < low[f.node] {
-					low[f.node] = index[e.to]
-				}
-			}
-			if advanced {
-				continue
-			}
-			if low[f.node] == index[f.node] {
-				var scc []int
-				for {
-					v := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[v] = false
-					scc = append(scc, v)
-					if v == f.node {
-						break
-					}
-				}
-				if len(scc) > 1 {
-					out = append(out, scc)
-				} else {
-					for _, e := range sg.adj[scc[0]] {
-						if keepEdge(e) && e.to == scc[0] {
-							out = append(out, scc)
-							break
-						}
-					}
-				}
-			}
-			done := f.node
-			call = call[:len(call)-1]
-			if len(call) > 0 {
-				p := &call[len(call)-1]
-				if low[done] < low[p.node] {
-					low[p.node] = low[done]
-				}
+		for _, e := range sg.adj[scc[0]] {
+			if keepEdge(e) && e.to == scc[0] {
+				out = append(out, scc)
+				break
 			}
 		}
 	}

@@ -127,82 +127,110 @@ func progOrder(p *tpal.Program, ls []tpal.Label) []tpal.Label {
 }
 
 // tarjanSCC returns the strongly connected components of the graph
-// restricted to nodes, with cut edges removed, in an arbitrary order.
-// It is iterative for the same stack-depth reason as the RPO walk.
+// restricted to nodes, with cut edges removed: it numbers blocks by
+// their reverse post-order and runs tarjan. Callers order the result
+// themselves (sccLoops sorts by header).
 func tarjanSCC(g *graph, nodes map[tpal.Label]bool, cut map[lpair]bool) [][]tpal.Label {
-	index := make(map[tpal.Label]int, len(nodes))
-	low := make(map[tpal.Label]int, len(nodes))
-	onStack := make(map[tpal.Label]bool, len(nodes))
-	var stack []tpal.Label
-	var sccs [][]tpal.Label
+	deg := func(v int) int {
+		if !nodes[g.rpo[v]] {
+			return 0
+		}
+		return len(g.succs[g.rpo[v]])
+	}
+	succ := func(v, k int) int {
+		from := g.rpo[v]
+		to := g.succs[from][k].To
+		if !nodes[to] || cut[lpair{from, to}] {
+			return -1
+		}
+		return g.rpoIx[to]
+	}
+	var out [][]tpal.Label
+	for _, scc := range tarjan(len(g.rpo), deg, succ) {
+		if !nodes[g.rpo[scc[0]]] {
+			continue // a node outside the set is an edgeless singleton
+		}
+		ls := make([]tpal.Label, len(scc))
+		for i, v := range scc {
+			ls[i] = g.rpo[v]
+		}
+		out = append(out, ls)
+	}
+	return out
+}
+
+// tarjan returns the strongly connected components of the graph over
+// nodes 0..n-1 whose node v has deg(v) out-edges, the k-th leading to
+// succ(v, k), or to no node at all when succ returns -1 (a filtered
+// edge). Roots are taken in index order and edges in k order, so the
+// output order is a function of the graph. It is iterative: a deep
+// chain on a fuzzed input cannot overflow the goroutine stack.
+func tarjan(n int, deg func(v int) int, succ func(v, k int) int) [][]int {
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	for i := range index {
+		index[i] = -1
+	}
+	var stack, members []int // members holds every SCC found, back to back
+	var out [][]int
 	next := 0
 
-	type frame struct {
-		l    tpal.Label
-		edge int
+	type frame struct{ v, edge int }
+	var call []frame
+	visit := func(v int) {
+		index[v], low[v] = next, next
+		next++
+		stack = append(stack, v)
+		onStack[v] = true
+		call = append(call, frame{v: v})
 	}
-	var roots []tpal.Label
-	for l := range nodes {
-		roots = append(roots, l)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-
-	for _, root := range roots {
-		if _, ok := index[root]; ok {
+	for root := 0; root < n; root++ {
+		if index[root] >= 0 {
 			continue
 		}
-		call := []frame{{l: root}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
+		visit(root)
 		for len(call) > 0 {
 			f := &call[len(call)-1]
-			advanced := false
-			succs := g.succs[f.l]
-			for f.edge < len(succs) {
-				to := succs[f.edge].To
+			v, advanced := f.v, false
+			for f.edge < deg(v) {
+				w := succ(v, f.edge)
 				f.edge++
-				if !nodes[to] || cut[lpair{f.l, to}] {
+				if w < 0 {
 					continue
 				}
-				if _, ok := index[to]; !ok {
-					index[to], low[to] = next, next
-					next++
-					stack = append(stack, to)
-					onStack[to] = true
-					call = append(call, frame{l: to})
+				if index[w] < 0 {
+					visit(w)
 					advanced = true
 					break
 				}
-				if onStack[to] && index[to] < low[f.l] {
-					low[f.l] = index[to]
+				if onStack[w] && index[w] < low[v] {
+					low[v] = index[w]
 				}
 			}
 			if advanced {
 				continue
 			}
-			if low[f.l] == index[f.l] {
-				var scc []tpal.Label
+			if low[v] == index[v] {
+				start := len(members)
 				for {
-					n := stack[len(stack)-1]
+					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[n] = false
-					scc = append(scc, n)
-					if n == f.l {
+					onStack[w] = false
+					members = append(members, w)
+					if w == v {
 						break
 					}
 				}
-				sccs = append(sccs, scc)
+				out = append(out, members[start:len(members):len(members)])
 			}
 			call = call[:len(call)-1]
 			if len(call) > 0 {
-				p := &call[len(call)-1]
-				if low[f.l] < low[p.l] {
-					low[p.l] = low[f.l]
+				if p := &call[len(call)-1]; low[v] < low[p.v] {
+					low[p.v] = low[v]
 				}
 			}
 		}
 	}
-	return sccs
+	return out
 }

@@ -66,19 +66,15 @@ func (t TripBound) String() string {
 	return "unknown"
 }
 
-// DefaultTripCeiling is the TP091 threshold when Options.TripCeiling is
-// unset: past four million iterations a single loop exceeds any fuel
-// budget serve would grant.
+// DefaultTripCeiling is the TP091 threshold: a loop whose phase-7 trip
+// bound exceeds it gets a warning, since past four million iterations a
+// single loop exceeds any fuel budget serve would grant.
 const DefaultTripCeiling = int64(1) << 22
 
 // tripPass runs phase 7b over the loop forest, returning the per-header
 // bounds and the TP090–TP092 diagnostics. It also grades each Loop's
 // Trip field in place.
-func tripPass(p *tpal.Program, g *graph, fix *intervalFix, idom map[tpal.Label]tpal.Label, loops []*Loop, opts Options) (map[tpal.Label]TripBound, []Diag) {
-	ceiling := opts.TripCeiling
-	if ceiling <= 0 {
-		ceiling = DefaultTripCeiling
-	}
+func tripPass(p *tpal.Program, g *graph, fix *intervalFix, idom map[tpal.Label]tpal.Label, loops []*Loop) (map[tpal.Label]TripBound, []Diag) {
 	trips := make(map[tpal.Label]TripBound)
 	var diags []Diag
 	inner := innermostLoops(loops)
@@ -86,9 +82,9 @@ func tripPass(p *tpal.Program, g *graph, fix *intervalFix, idom map[tpal.Label]t
 	walk = func(ls []*Loop, parent *Loop) {
 		for _, l := range ls {
 			tb, ds := deriveTrip(p, g, fix, idom, inner, l, parent)
-			if tb.Bounded() && tb.Hi > ceiling {
+			if tb.Bounded() && tb.Hi > DefaultTripCeiling {
 				ds = append(ds, Diag{Severity: Warning, Code: CodeTripCeiling, Block: l.Header, Instr: tpal.IssueBlock,
-					Msg: fmt.Sprintf("inferred trip bound %d for loop %q exceeds the ceiling %d; the loop dominates any fuel budget", tb.Hi, l.Header, ceiling)})
+					Msg: fmt.Sprintf("inferred trip bound %d for loop %q exceeds the ceiling %d; the loop dominates any fuel budget", tb.Hi, l.Header, DefaultTripCeiling)})
 			}
 			trips[l.Header] = tb
 			l.Trip = tb

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"strings"
 	"testing"
 
 	"tpal/internal/tpal"
@@ -183,17 +184,17 @@ block out [.] {
 	wantTrip(t, r, "loop", analysis.TripBound{Kind: analysis.TripExact, Lo: 1, Hi: 1})
 }
 
-// TestTripCeiling: a bound past Options.TripCeiling warns (TP091) but
-// still grades.
+// TestTripCeiling: a bound past DefaultTripCeiling warns (TP091) but
+// still grades; the same loop at a small bound stays clean.
 func TestTripCeiling(t *testing.T) {
-	p := parseProg(t, `
+	const src = `
 program p entry m
 block m [.] {
   i := 0
   jump loop
 }
 block loop [.] {
-  t := i < 5000
+  t := i < BOUND
   if-jump t, body
   jump out
 }
@@ -203,14 +204,16 @@ block body [.] {
 }
 block out [.] {
   halt
-}`)
-	r := analysis.Analyze(p, analysis.Options{TripCeiling: 100})
+}`
+	p := parseProg(t, strings.Replace(src, "BOUND", "5000000", 1))
+	r := analysis.Analyze(p, analysis.Options{})
 	wantCode(t, r.Diags, analysis.CodeTripCeiling)
-	wantTrip(t, r, "loop", analysis.TripBound{Kind: analysis.TripExact, Lo: 5001, Hi: 5001})
+	wantTrip(t, r, "loop", analysis.TripBound{Kind: analysis.TripExact, Lo: 5000001, Hi: 5000001})
 
-	// The default ceiling leaves the same program clean.
+	p = parseProg(t, strings.Replace(src, "BOUND", "5000", 1))
 	r = analysis.Analyze(p, analysis.Options{})
 	wantNoCode(t, r.Diags, analysis.CodeTripCeiling)
+	wantTrip(t, r, "loop", analysis.TripBound{Kind: analysis.TripExact, Lo: 5001, Hi: 5001})
 }
 
 // TestTripUnknownRegisterBound: a bound from an entry register stays

@@ -107,7 +107,7 @@ func Analyze(p *tpal.Program, opts Options) *Report {
 	}
 	fix := intervalPass(p, cg, ix, headers)
 	var tripDiags []Diag
-	r.Trips, tripDiags = tripPass(p, cg, fix, idom, r.Loops, opts)
+	r.Trips, tripDiags = tripPass(p, cg, fix, idom, r.Loops)
 	r.Diags = append(r.Diags, tripDiags...)
 	r.Branches = branchFacts(p, fix)
 	vals := make(map[tpal.Label]int64, len(r.Trips))

@@ -87,6 +87,61 @@ func (o Op) IsComparison() bool {
 	return false
 }
 
+// Eval is the one definition of TPAL integer semantics: Go's wrapping
+// int64 arithmetic, comparisons yielding TPAL truth values (0 = true),
+// and shift counts taken as uint64 (a count of 64 or more, or a
+// negative one, shifts every bit out). ok is false for division or
+// remainder by zero, which fault on the machine, and for an unknown op.
+func (o Op) Eval(x, y int64) (v int64, ok bool) {
+	truth := func(cond bool) int64 {
+		if cond {
+			return 0
+		}
+		return 1
+	}
+	switch o {
+	case OpAdd:
+		return x + y, true
+	case OpSub:
+		return x - y, true
+	case OpMul:
+		return x * y, true
+	case OpDiv:
+		if y == 0 {
+			return 0, false
+		}
+		return x / y, true
+	case OpMod:
+		if y == 0 {
+			return 0, false
+		}
+		return x % y, true
+	case OpLt:
+		return truth(x < y), true
+	case OpLe:
+		return truth(x <= y), true
+	case OpGt:
+		return truth(x > y), true
+	case OpGe:
+		return truth(x >= y), true
+	case OpEq:
+		return truth(x == y), true
+	case OpNe:
+		return truth(x != y), true
+	case OpAnd:
+		return x & y, true
+	case OpOr:
+		return x | y, true
+	case OpXor:
+		return x ^ y, true
+	case OpShl:
+		return x << uint64(y), true
+	case OpShr:
+		return x >> uint64(y), true
+	}
+	return 0, false
+}
+
 // OperandKind discriminates Operand.
 type OperandKind uint8
 

@@ -1,6 +1,7 @@
 package tpal
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -117,6 +118,54 @@ func TestIsComparison(t *testing.T) {
 	for _, op := range []Op{OpAdd, OpMul, OpShl} {
 		if op.IsComparison() {
 			t.Errorf("%s should not be a comparison", op)
+		}
+	}
+}
+
+func TestOpEval(t *testing.T) {
+	cases := []struct {
+		op   Op
+		x, y int64
+		want int64
+		ok   bool
+	}{
+		{OpAdd, 2, 3, 5, true},
+		{OpAdd, math.MaxInt64, 1, math.MinInt64, true}, // wraps
+		{OpSub, 2, 3, -1, true},
+		{OpSub, math.MinInt64, 1, math.MaxInt64, true},
+		{OpMul, -4, 3, -12, true},
+		{OpMul, math.MinInt64, -1, math.MinInt64, true},
+		{OpDiv, 7, 2, 3, true},
+		{OpDiv, -7, 2, -3, true}, // truncated division
+		{OpDiv, math.MinInt64, -1, math.MinInt64, true},
+		{OpDiv, 7, 0, 0, false}, // faults on the machine; never folded
+		{OpMod, 7, 0, 0, false},
+		{OpMod, -7, 2, -1, true},
+		{OpMod, math.MinInt64, -1, 0, true},
+		{OpLt, 1, 2, 0, true}, // TPAL truth: 0 is true
+		{OpLt, 2, 1, 1, true},
+		{OpLe, 2, 2, 0, true},
+		{OpGt, 2, 1, 0, true},
+		{OpGe, 1, 2, 1, true},
+		{OpEq, 5, 5, 0, true},
+		{OpNe, 5, 5, 1, true},
+		{OpAnd, 6, 3, 2, true},
+		{OpOr, 6, 3, 7, true},
+		{OpXor, 6, 3, 5, true},
+		{OpShl, 1, 10, 1024, true},
+		{OpShl, 1, 63, math.MinInt64, true},
+		{OpShl, 1, 64, 0, true},  // a count of 64 or more shifts every bit out
+		{OpShl, 1, -1, 0, true},  // a negative count is a huge uint64
+		{OpShr, -8, 1, -4, true}, // arithmetic shift
+		{OpShr, -8, 64, -1, true},
+		{OpShr, 8, 100, 0, true},
+		{OpShr, 8, -1, 0, true},
+		{Op(200), 1, 1, 0, false}, // unknown op
+	}
+	for _, c := range cases {
+		got, ok := c.op.Eval(c.x, c.y)
+		if ok != c.ok || (ok && got != c.want) {
+			t.Errorf("%s.Eval(%d, %d) = %d, %v; want %d, %v", c.op, c.x, c.y, got, ok, c.want, c.ok)
 		}
 	}
 }

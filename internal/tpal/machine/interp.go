@@ -247,11 +247,10 @@ func (e *Engine) ptrReg(t *Task, r tpal.Reg, slot int) (Ptr, error) {
 	return v.Ptr, nil
 }
 
-// EvalBinOp evaluates a primitive operation. Integer arithmetic follows
-// Go's int64 semantics; comparisons produce TPAL truth values (0 =
-// true). Pointer ± integer performs stack-pointer arithmetic: adding
-// moves toward the base (older cells), mirroring a downward-growing
-// stack. The function is pure so both execution backends share one
+// EvalBinOp evaluates a primitive operation. Integer operands go
+// through tpal.Op.Eval, the one definition of TPAL integer semantics.
+// Pointer ± integer performs stack-pointer arithmetic: adding moves
+// toward the base (older cells), mirroring a downward-growing stack. The function is pure so both execution backends share one
 // definition of operator semantics and fault messages.
 func EvalBinOp(op tpal.Op, a, b Value) (Value, error) {
 	if a.Kind == VPtr || b.Kind == VPtr {
@@ -262,51 +261,14 @@ func EvalBinOp(op tpal.Op, a, b Value) (Value, error) {
 	if !okA || !okB {
 		return Value{}, fmt.Errorf("operator %s applied to %s and %s", op, a, b)
 	}
-	truth := func(cond bool) Value {
-		if cond {
-			return IntV(0)
-		}
-		return IntV(1)
+	if v, ok := op.Eval(x, y); ok {
+		return IntV(v), nil
 	}
 	switch op {
-	case tpal.OpAdd:
-		return IntV(x + y), nil
-	case tpal.OpSub:
-		return IntV(x - y), nil
-	case tpal.OpMul:
-		return IntV(x * y), nil
 	case tpal.OpDiv:
-		if y == 0 {
-			return Value{}, errors.New("division by zero")
-		}
-		return IntV(x / y), nil
+		return Value{}, errors.New("division by zero")
 	case tpal.OpMod:
-		if y == 0 {
-			return Value{}, errors.New("modulo by zero")
-		}
-		return IntV(x % y), nil
-	case tpal.OpLt:
-		return truth(x < y), nil
-	case tpal.OpLe:
-		return truth(x <= y), nil
-	case tpal.OpGt:
-		return truth(x > y), nil
-	case tpal.OpGe:
-		return truth(x >= y), nil
-	case tpal.OpEq:
-		return truth(x == y), nil
-	case tpal.OpNe:
-		return truth(x != y), nil
-	case tpal.OpAnd:
-		return IntV(x & y), nil
-	case tpal.OpOr:
-		return IntV(x | y), nil
-	case tpal.OpXor:
-		return IntV(x ^ y), nil
-	case tpal.OpShl:
-		return IntV(x << uint64(y)), nil
-	case tpal.OpShr:
-		return IntV(x >> uint64(y)), nil
+		return Value{}, errors.New("modulo by zero")
 	}
 	return Value{}, fmt.Errorf("unknown operator %s", op)
 }

@@ -103,7 +103,7 @@ func (e *constEnv) step(s *cstate, in tpal.Instr) {
 		l, okL := s.get(in.Src)
 		r, okR := s.operandFact(in.Val)
 		if okL && okR && l.kind == factInt && r.kind == factInt {
-			if v, ok := foldBinop(in.Op, l.n, r.n); ok {
+			if v, ok := in.Op.Eval(l.n, r.n); ok {
 				s.set(in.Dst, fact{kind: factInt, n: v})
 				return
 			}
@@ -186,59 +186,4 @@ func solveConsts(p *tpal.Program) (map[tpal.Label]*cstate, *constEnv) {
 		},
 	}, entry)
 	return states, e
-}
-
-// foldBinop evaluates a primitive operation over integer constants with
-// exactly the machine's semantics (Go int64 arithmetic, comparisons
-// yielding TPAL truth values, shifts through uint64 conversion). It
-// refuses division and remainder by zero — those fault at run time and
-// must stay in the program.
-func foldBinop(op tpal.Op, x, y int64) (int64, bool) {
-	truth := func(cond bool) int64 {
-		if cond {
-			return 0
-		}
-		return 1
-	}
-	switch op {
-	case tpal.OpAdd:
-		return x + y, true
-	case tpal.OpSub:
-		return x - y, true
-	case tpal.OpMul:
-		return x * y, true
-	case tpal.OpDiv:
-		if y == 0 {
-			return 0, false
-		}
-		return x / y, true
-	case tpal.OpMod:
-		if y == 0 {
-			return 0, false
-		}
-		return x % y, true
-	case tpal.OpLt:
-		return truth(x < y), true
-	case tpal.OpLe:
-		return truth(x <= y), true
-	case tpal.OpGt:
-		return truth(x > y), true
-	case tpal.OpGe:
-		return truth(x >= y), true
-	case tpal.OpEq:
-		return truth(x == y), true
-	case tpal.OpNe:
-		return truth(x != y), true
-	case tpal.OpAnd:
-		return x & y, true
-	case tpal.OpOr:
-		return x | y, true
-	case tpal.OpXor:
-		return x ^ y, true
-	case tpal.OpShl:
-		return x << uint64(y), true
-	case tpal.OpShr:
-		return x >> uint64(y), true
-	}
-	return 0, false
 }

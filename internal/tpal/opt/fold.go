@@ -11,7 +11,7 @@ import (
 // rewrites against the evolving local state. Rewrites:
 //
 //   - a binop whose operands are both known integers folds to a move
-//     of the result (computed with foldBinop, the machine's exact
+//     of the result (computed with tpal.Op.Eval, the machine's own
 //     semantics);
 //   - a register operand with a known value is substituted by its
 //     literal (constant or label) — except a known-zero divisor, which
@@ -77,7 +77,7 @@ func foldBlock(env *constEnv, b *tpal.Block, s *cstate) int {
 			l, okL := s.get(in.Src)
 			r, okR := s.operandFact(in.Val)
 			if okL && okR && l.kind == factInt && r.kind == factInt {
-				if v, ok := foldBinop(in.Op, l.n, r.n); ok {
+				if v, ok := in.Op.Eval(l.n, r.n); ok {
 					*in = tpal.Instr{Kind: tpal.IMove, Dst: in.Dst, Val: tpal.N(v)}
 					count++
 					env.step(s, *in)

@@ -10,41 +10,6 @@ import (
 	"tpal/internal/tpal/programs"
 )
 
-// --- foldBinop: exact machine semantics ---
-
-func TestFoldBinopSemantics(t *testing.T) {
-	cases := []struct {
-		op   tpal.Op
-		x, y int64
-		want int64
-		ok   bool
-	}{
-		{tpal.OpAdd, 2, 3, 5, true},
-		{tpal.OpSub, 2, 3, -1, true},
-		{tpal.OpMul, -4, 3, -12, true},
-		{tpal.OpDiv, 7, 2, 3, true},
-		{tpal.OpDiv, -7, 2, -3, true}, // truncated division, like the machine
-		{tpal.OpDiv, 7, 0, 0, false},  // faults at run time; never folded
-		{tpal.OpMod, 7, 0, 0, false},
-		{tpal.OpMod, -7, 2, -1, true},
-		{tpal.OpLt, 1, 2, 0, true}, // TPAL truth: 0 is true
-		{tpal.OpLt, 2, 1, 1, true},
-		{tpal.OpEq, 5, 5, 0, true},
-		{tpal.OpNe, 5, 5, 1, true},
-		{tpal.OpAnd, 6, 3, 2, true},
-		{tpal.OpOr, 6, 3, 7, true},
-		{tpal.OpXor, 6, 3, 5, true},
-		{tpal.OpShl, 1, 10, 1024, true},
-		{tpal.OpShr, -8, 1, -4, true}, // arithmetic shift
-	}
-	for _, c := range cases {
-		got, ok := foldBinop(c.op, c.x, c.y)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("foldBinop(%s, %d, %d) = %d, %v; want %d, %v", c.op, c.x, c.y, got, ok, c.want, c.ok)
-		}
-	}
-}
-
 // --- certifier unit behavior ---
 
 func TestCertifyDiagsRejectsGrowth(t *testing.T) {
