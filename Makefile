@@ -114,14 +114,15 @@ cover:
 # dispatch cost of the interpreter vs the closure-threaded backend
 # (corpus and the plus-reduce kernel; serial, heartbeat, sanitizer and
 # fan-out configurations) and the one-time lowering cost per corpus
-# program, the cost of one promotion, one full static analysis of the
+# program, the cost of one promotion, the per-spawn cost of one-worker
+# Cilk (BenchmarkSpawn2Serial), one full static analysis of the
 # minipar triple nest (raw and optimized, races off and on, with
 # allocations), one submission's front end and admission gate
 # (BenchmarkAdmit, with allocations), and the four design ablations of
 # DESIGN.md §5. How fast the system is end to end is not measured here
 # but by `bash benchmark/run.sh`; the paper's figures are tpal-bench's.
 bench:
-	$(GO) test ./internal/tpal/machine ./internal/tpal/analysis ./internal/serve ./internal/heartbeat . -run='^$$' -bench . -benchtime 1s
+	$(GO) test ./internal/tpal/machine ./internal/tpal/analysis ./internal/serve ./internal/heartbeat ./internal/cilk . -run='^$$' -bench . -benchtime 1s
 
 # bench-smoke vets and tests the front-door benchmark harness.
 # benchmark/ is its own Go module, so the root `go build ./...` and
