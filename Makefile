@@ -16,7 +16,9 @@ race:
 
 # race-test runs Go's own race detector over the concurrent runtime
 # packages and their cross-goroutine code: deque steals, park/wake, the
-# schedulers layered on them, and each interrupt mechanism's Stop flag.
+# span model's joins (sched.Join retired from many goroutines at once),
+# the schedulers layered on them, and each interrupt mechanism's Stop
+# flag.
 race-test:
 	$(GO) test -race ./internal/sched ./internal/heartbeat ./internal/cilk ./internal/interrupt
 

@@ -13,7 +13,6 @@ package cilk
 
 import (
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"tpal/internal/sched"
@@ -59,12 +58,9 @@ func New(cfg Config) *RT { return &RT{cfg: cfg.withDefaults()} }
 
 // Stats describes one Run.
 type Stats struct {
-	Elapsed time.Duration
-	Sched   sched.Stats
-	// WorkNanos and SpanNanos are cost-model work (T₁) and critical-path
-	// span (T∞); see the heartbeat package for the projection model.
-	WorkNanos int64
-	SpanNanos int64
+	Elapsed    time.Duration
+	Sched      sched.Stats
+	sched.Cost // work and span, measured as the heartbeat runtime does
 }
 
 // Run executes root to completion on a fresh pool.
@@ -72,22 +68,13 @@ func (rt *RT) Run(root func(*Ctx)) Stats {
 	pool := sched.NewPool(rt.cfg.Workers)
 	var rootSpan int64
 	pool.Run(func(w *sched.Worker) {
-		c := &Ctx{w: w, rt: rt, start: time.Now()}
+		c := newCtx(w, rt, 0)
 		root(c)
-		rootSpan = c.finish()
+		_, rootSpan = w.Finish(&c.span)
 	})
-	st := Stats{Elapsed: pool.Elapsed(), Sched: pool.Stats(), SpanNanos: rootSpan}
-	st.WorkNanos = st.Sched.SelfWorkNanos
+	st := Stats{Elapsed: pool.Elapsed(), Sched: pool.Stats()}
+	st.Cost = sched.Cost{WorkNanos: st.Sched.SelfWorkNanos, SpanNanos: rootSpan}
 	return st
-}
-
-// ProjectedTime estimates the run's duration on p cores from measured
-// work and span (greedy-scheduler bound), as heartbeat.Stats does.
-func (s Stats) ProjectedTime(p int) time.Duration {
-	if p < 1 {
-		p = 1
-	}
-	return time.Duration(s.WorkNanos/int64(p) + s.SpanNanos)
 }
 
 // Run is a convenience: build a runtime from cfg and run root once.
@@ -95,157 +82,37 @@ func Run(cfg Config, root func(*Ctx)) Stats {
 	return New(cfg).Run(root)
 }
 
-// Ctx is a Cilk task context.
+// Ctx is a Cilk task context: the worker it runs on and the task's
+// span.
 type Ctx struct {
-	w  *sched.Worker
-	rt *RT
-
-	// Critical-path tracking; see the heartbeat package's Ctx for the
-	// model. Clock reads happen only at spawn/sync boundaries.
-	start  time.Time
-	base   int64
-	helped int64
-	floor  int64
+	w    *sched.Worker
+	rt   *RT
+	span sched.Span
 }
 
-// Worker returns the executing worker.
-func (c *Ctx) Worker() *sched.Worker { return c.w }
-
-func (c *Ctx) selfNanos() int64 {
-	return time.Since(c.start).Nanoseconds() - c.helped
-}
-
-// SpanNow is the span of the critical path through this task as of now.
-func (c *Ctx) SpanNow() int64 {
-	s := c.base + c.selfNanos()
-	if c.floor > s {
-		return c.floor
-	}
-	return s
-}
-
-func (c *Ctx) finish() int64 {
-	c.w.AddSelfWork(c.selfNanos())
-	return c.SpanNow()
-}
-
-func (c *Ctx) raiseFloor(span int64) {
-	if span > c.floor {
-		c.floor = span
-	}
-}
-
-// setSpan rebases the context so SpanNow() returns v. Used by the
-// inline spawn path to splice a branch executed sequentially onto the
-// logical forked timeline: in the Cilk DAG a spawned branch runs in
-// parallel with its continuation whether or not a thief took it, so the
-// measured span must fork at every spawn even on one worker. Floors
-// raised within the rebased interval are clamped along.
-func (c *Ctx) setSpan(v int64) {
-	c.base = v - c.selfNanos()
-	if c.floor > v {
-		c.floor = v
-	}
-}
-
-// syncInline folds an inline-executed branch into the forked timeline:
-// the branch ran over [afterCont, now) of the sequential clock but
-// logically started at spawnSpan; the span after the sync is the max of
-// the continuation's completion and the branch's logical completion.
-func (c *Ctx) syncInline(spawnSpan, afterCont int64) {
-	now := c.SpanNow()
-	logical := now - (afterCont - spawnSpan)
-	if afterCont > logical {
-		c.setSpan(afterCont)
-	} else {
-		c.setSpan(logical)
-	}
-}
-
-func maxInto(a *atomic.Int64, v int64) {
-	for {
-		old := a.Load()
-		if v <= old || a.CompareAndSwap(old, v) {
-			return
-		}
-	}
+// newCtx returns the context of a task created at span base, starting
+// now on w.
+func newCtx(w *sched.Worker, rt *RT, base int64) *Ctx {
+	c := &Ctx{w: w, rt: rt}
+	c.span.Begin(base)
+	return c
 }
 
 // Spawn2 runs a and b as a fork-join pair with eager task creation: b
 // becomes a task immediately (continuation available to thieves), a runs
 // first on this worker, and the pair joins before returning. Even when
 // no thief takes b, the spawn has paid for the task's allocation and
-// deque round trip — the per-spawn overhead Figure 6 measures.
+// deque round trip — the per-spawn overhead Figure 6 measures. It is
+// Spawn2Call with the closures as the arguments, except that a is
+// called directly: passed through callClosure, a would escape to the
+// heap and cost every spawn a second allocation.
 func (c *Ctx) Spawn2(a, b func(*Ctx)) {
-	// One allocation per spawn: the task embeds its join counter and its
-	// deque box. This is the eager cost Cilk always pays, as close to
-	// the C++ runtime's spawn-frame cost as Go permits.
-	task := &spawnTask{fn: b, rt: c.rt, base: c.SpanNow()}
-	task.j.pending.Store(1)
-	task.box.Bind(task)
-	c.w.Spawn(&task.box)
-
+	t := spawn(c, callClosure, b)
 	a(c)
-
-	// Sync: try to take b back from our own deque bottom.
-	if t := c.w.Deque().PopBottom(); t != nil {
-		st, ok := t.(*spawnTask)
-		if ok && st == task {
-			// Not stolen: run inline in this context, then splice the
-			// branch onto the forked timeline.
-			afterCont := c.SpanNow()
-			st.runInline(c)
-			c.syncInline(task.base, afterCont)
-			return
-		}
-		// Someone else's task surfaced (possible when helping inside
-		// nested joins rearranged the deque): put it back and wait.
-		c.w.Deque().PushBottom(t)
-	}
-	c.waitSpawn(&task.j)
+	t.sync(c)
 }
 
-func (c *Ctx) waitSpawn(j *spawnJoin) {
-	t0 := time.Now()
-	c.w.WaitJoin(&j.pending)
-	c.helped += time.Since(t0).Nanoseconds()
-	c.raiseFloor(j.spanMax.Load())
-}
-
-type spawnJoin struct {
-	pending atomic.Int64
-	spanMax atomic.Int64
-}
-
-type spawnTask struct {
-	box  sched.Box
-	j    spawnJoin
-	fn   func(*Ctx)
-	rt   *RT
-	base int64
-	ran  atomic.Bool
-}
-
-// Run implements sched.Task (the stolen path).
-func (t *spawnTask) Run(w *sched.Worker) {
-	if !t.ran.CompareAndSwap(false, true) {
-		return
-	}
-	cc := &Ctx{w: w, rt: t.rt, start: time.Now(), base: t.base}
-	t.fn(cc)
-	maxInto(&t.j.spanMax, cc.finish())
-	t.j.pending.Add(-1)
-}
-
-func (t *spawnTask) runInline(c *Ctx) {
-	if !t.ran.CompareAndSwap(false, true) {
-		// Lost a race we should never lose (we popped it ourselves).
-		c.waitSpawn(&t.j)
-		return
-	}
-	t.fn(c)
-	t.j.pending.Add(-1)
-}
+func callClosure(c *Ctx, fn func(*Ctx)) { fn(c) }
 
 // GrainFor returns the leaf size cilk_for would use for n iterations on
 // p workers: min(2048, ceil(n/(8p))), at least 1.

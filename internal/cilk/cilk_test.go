@@ -70,6 +70,47 @@ func TestSpawn2CallFib(t *testing.T) {
 	}
 }
 
+// leafSink keeps busyFibCall's counted work observable.
+var leafSink atomic.Uint64
+
+// busyFibCall is fibCall with a counted ~0.2 ms of work at every leaf,
+// so that its work and span are sums of stamps a clock read cannot
+// blur.
+func busyFibCall(c *Ctx, a fibArgs) {
+	if a.n < 2 {
+		x := uint64(a.n)
+		for k := 0; k < 150_000; k++ {
+			x = x*6364136223846793005 + 1442695040888963407
+		}
+		leafSink.Add(x)
+		*a.out = int64(a.n)
+		return
+	}
+	var x, y int64
+	Spawn2Call(c, busyFibCall, fibArgs{a.n - 1, &x}, fibArgs{a.n - 2, &y})
+	*a.out = x + y
+}
+
+// TestSpawn2CallSpanForks is TestWorkSpanProjection for the recursive
+// spawn path: on one worker every branch runs inline, and the span must
+// still fork at each Spawn2Call. fib(13) has 377 leaves (~75 ms of work)
+// on a critical path of 13 spawns and one leaf; span·4 exceeds work only
+// if the timeline failed to fork or one leaf stalled for a quarter of
+// the run.
+func TestSpawn2CallSpanForks(t *testing.T) {
+	var got int64
+	st := Run(Config{Workers: 1}, func(c *Ctx) { busyFibCall(c, fibArgs{13, &got}) })
+	if got != 233 {
+		t.Fatalf("fib(13) = %d", got)
+	}
+	if st.WorkNanos <= 0 || st.SpanNanos <= 0 {
+		t.Fatalf("work=%d span=%d", st.WorkNanos, st.SpanNanos)
+	}
+	if st.SpanNanos*4 > st.WorkNanos {
+		t.Fatalf("span %d not well below work %d for fib(13)", st.SpanNanos, st.WorkNanos)
+	}
+}
+
 func TestForCoversRange(t *testing.T) {
 	const n = 50_000
 	for _, workers := range []int{1, 4} {

@@ -2,7 +2,6 @@ package cilk
 
 import (
 	"sync/atomic"
-	"time"
 
 	"tpal/internal/sched"
 )
@@ -13,33 +12,61 @@ import (
 // define the Cilk model remain: a task object and join are allocated and
 // the deque is touched at every spawn, taken or not.
 func Spawn2Call[A any](c *Ctx, f func(*Ctx, A), aArg, bArg A) {
-	task := &spawnCallTask[A]{f: f, arg: bArg, rt: c.rt, base: c.SpanNow()}
-	task.j.pending.Store(1)
-	task.box.Bind(task)
-	c.w.Spawn(&task.box)
-
+	t := spawn(c, f, bArg)
 	f(c, aArg)
-
-	if t := c.w.Deque().PopBottom(); t != nil {
-		st, ok := t.(*spawnCallTask[A])
-		if ok && st == task {
-			if st.ran.CompareAndSwap(false, true) {
-				afterCont := c.SpanNow()
-				f(c, st.arg)
-				c.syncInline(task.base, afterCont)
-				task.j.pending.Add(-1)
-				return
-			}
-		} else {
-			c.w.Deque().PushBottom(t)
-		}
-	}
-	c.waitSpawn(&task.j)
+	t.sync(c)
 }
 
-type spawnCallTask[A any] struct {
+// spawn makes f(·, arg) a task on c's worker, available to thieves at
+// once. One allocation per spawn: the task embeds its join and its
+// deque box. This is the eager cost Cilk always pays, as close to the
+// C++ runtime's spawn-frame cost as Go permits.
+func spawn[A any](c *Ctx, f func(*Ctx, A), arg A) *spawnTask[A] {
+	t := &spawnTask[A]{f: f, arg: arg, rt: c.rt, base: c.span.Now()}
+	t.j.Add(1)
+	t.box.Bind(t)
+	c.w.Spawn(&t.box)
+	return t
+}
+
+// sync joins the spawned branch t once c's own branch has returned: it
+// takes t back from the deque bottom and runs it inline when no thief
+// took it, and otherwise waits for it.
+func (t *spawnTask[A]) sync(c *Ctx) {
+	if d := c.w.Deque().PopBottom(); d == t {
+		if t.ran.CompareAndSwap(false, true) {
+			// Not stolen: run it inline in this context, then splice it
+			// onto the forked timeline.
+			afterCont := c.span.Now()
+			t.f(c, t.arg)
+			c.syncInline(t.base, afterCont)
+			return
+		}
+	} else if d != nil {
+		// Someone else's task surfaced (possible when helping inside
+		// nested joins rearranged the deque): put it back and wait.
+		c.w.Deque().PushBottom(d)
+	}
+	c.w.Wait(&c.span, &t.j)
+}
+
+// syncInline folds a branch executed inline into the forked timeline.
+// In the Cilk DAG a spawned branch runs in parallel with its
+// continuation whether or not a thief took it, so the span must fork at
+// every spawn even on one worker: the branch ran over [afterCont, now)
+// of the sequential clock but logically started at spawnSpan, and the
+// span after the sync is the later of the continuation's completion and
+// the branch's logical completion.
+func (c *Ctx) syncInline(spawnSpan, afterCont int64) {
+	logical := c.span.Now() - (afterCont - spawnSpan)
+	c.span.Rebase(max(afterCont, logical))
+}
+
+// spawnTask is a spawned branch: the deque box, the join, the function
+// and the argument in one allocation.
+type spawnTask[A any] struct {
 	box  sched.Box
-	j    spawnJoin
+	j    sched.Join
 	f    func(*Ctx, A)
 	arg  A
 	rt   *RT
@@ -48,12 +75,12 @@ type spawnCallTask[A any] struct {
 }
 
 // Run implements sched.Task (the stolen path).
-func (t *spawnCallTask[A]) Run(w *sched.Worker) {
+func (t *spawnTask[A]) Run(w *sched.Worker) {
 	if !t.ran.CompareAndSwap(false, true) {
 		return
 	}
-	cc := &Ctx{w: w, rt: t.rt, start: time.Now(), base: t.base}
+	cc := newCtx(w, t.rt, t.base)
 	t.f(cc, t.arg)
-	maxInto(&t.j.spanMax, cc.finish())
-	t.j.pending.Add(-1)
+	_, span := w.Finish(&cc.span)
+	t.j.Done(span)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tpal/internal/bench"
+	"tpal/internal/sched"
 	"tpal/internal/stats"
 )
 
@@ -94,12 +95,12 @@ func fig6(s *Session) {
 
 // speedupAt projects a measured run to p cores: serial time over the
 // greedy-scheduler bound T₁/p + T∞.
-func speedupAt(serial time.Duration, work, span int64, p int) float64 {
-	tp := float64(work)/float64(p) + float64(span)
+func speedupAt(serial time.Duration, c sched.Cost, p int) float64 {
+	tp := c.ProjectedTime(p)
 	if tp <= 0 {
 		return 0
 	}
-	return serial.Seconds() / (tp / 1e9)
+	return serial.Seconds() / tp.Seconds()
 }
 
 // fig7: speedups over serial at the full simulated machine, Cilk vs
@@ -112,8 +113,8 @@ func fig7(s *Session) {
 		cst := s.Cilk(b)
 		hst := s.Heartbeat(b, MechLinux, defaultHB, true)
 		serial := s.Serial(b)
-		c := speedupAt(serial, cst.WorkNanos, cst.SpanNanos, p)
-		l := speedupAt(serial, hst.WorkNanos, hst.SpanNanos, p)
+		c := speedupAt(serial, cst.Cost, p)
+		l := speedupAt(serial, hst.Cost, p)
 		gc.add(b, c)
 		gl.add(b, l)
 		t.addRow(b.Name(), f1(c), f1(l))
@@ -212,8 +213,8 @@ func fig11(s *Session) {
 		t := newTable("cores", "Cilk/Linux", "TPAL 100us/Linux")
 		for _, p := range cores {
 			t.addRow(fmt.Sprintf("%d", p),
-				f1(speedupAt(serial, cst.WorkNanos, cst.SpanNanos, p)),
-				f1(speedupAt(serial, hst.WorkNanos, hst.SpanNanos, p)))
+				f1(speedupAt(serial, cst.Cost, p)),
+				f1(speedupAt(serial, hst.Cost, p)))
 		}
 		s.printf("%s:\n%s\n", b.Name(), t.render())
 	}
@@ -230,9 +231,9 @@ func fig14(s *Session) {
 		lst := s.Heartbeat(b, MechLinux, defaultHB, true)
 		nst := s.Heartbeat(b, MechNautilus, defaultHB, true)
 		serial := s.Serial(b)
-		c := speedupAt(serial, cst.WorkNanos, cst.SpanNanos, p)
-		l := speedupAt(serial, lst.WorkNanos, lst.SpanNanos, p)
-		n := speedupAt(serial, nst.WorkNanos, nst.SpanNanos, p)
+		c := speedupAt(serial, cst.Cost, p)
+		l := speedupAt(serial, lst.Cost, p)
+		n := speedupAt(serial, nst.Cost, p)
 		gc.add(b, c)
 		gl.add(b, l)
 		gn.add(b, n)
@@ -270,19 +271,21 @@ func fig15b(s *Session) {
 	for _, b := range s.Benchmarks() {
 		cst := s.Cilk(b)
 		hst := s.Heartbeat(b, MechLinux, defaultHB, true)
-		cu := utilization(cst.WorkNanos, cst.SpanNanos, p)
-		hu := utilization(hst.WorkNanos, hst.SpanNanos, p)
+		cu := utilization(cst.Cost, p)
+		hu := utilization(hst.Cost, p)
 		t.addRow(b.Name(), pct(cu), pct(hu))
 	}
 	s.printf("%s\nUtilization at %d cores (useful work / total core time under the projection).\n\n", t.render(), p)
 }
 
-func utilization(work, span int64, p int) float64 {
-	denom := float64(work) + float64(p)*float64(span)
+// utilization is useful work over total core time on p cores under the
+// projection, T₁ / (P · T_P).
+func utilization(c sched.Cost, p int) float64 {
+	denom := float64(p) * float64(c.ProjectedTime(p))
 	if denom <= 0 {
 		return 0
 	}
-	return float64(work) / denom
+	return float64(c.WorkNanos) / denom
 }
 
 // headline reproduces the section-4 summary numbers: the task-overhead
@@ -307,8 +310,8 @@ func headline(s *Session) {
 		}
 		overheadRatios = append(overheadRatios, co/ho)
 
-		cs := speedupAt(s.Serial(b), cilkT.WorkNanos, cilkT.SpanNanos, p)
-		hs := speedupAt(s.Serial(b), hbT.WorkNanos, hbT.SpanNanos, p)
+		cs := speedupAt(s.Serial(b), cilkT.Cost, p)
+		hs := speedupAt(s.Serial(b), hbT.Cost, p)
 		if hs >= cs {
 			wins = append(wins, hs/cs)
 		} else {

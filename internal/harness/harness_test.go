@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tpal/internal/sched"
 )
 
 // tinySession runs quickly enough for unit tests.
@@ -103,24 +105,24 @@ func TestSerialPositive(t *testing.T) {
 func TestSpeedupAt(t *testing.T) {
 	serial := 1500 * time.Millisecond
 	// work 1s, span 0.1s at 10 cores: T_P = 0.2s -> speedup 7.5.
-	got := speedupAt(serial, 1e9, 1e8, 10)
+	got := speedupAt(serial, sched.Cost{WorkNanos: 1e9, SpanNanos: 1e8}, 10)
 	if got < 7.4 || got > 7.6 {
 		t.Fatalf("speedupAt = %f", got)
 	}
-	if speedupAt(serial, 0, 0, 4) != 0 {
+	if speedupAt(serial, sched.Cost{}, 4) != 0 {
 		t.Fatal("degenerate projection should be 0")
 	}
 }
 
 func TestUtilizationBounds(t *testing.T) {
-	if u := utilization(1e9, 1e7, 15); u <= 0 || u > 1 {
+	if u := utilization(sched.Cost{WorkNanos: 1e9, SpanNanos: 1e7}, 15); u <= 0 || u > 1 {
 		t.Fatalf("utilization = %f", u)
 	}
-	if utilization(0, 0, 15) != 0 {
+	if utilization(sched.Cost{}, 15) != 0 {
 		t.Fatal("degenerate utilization")
 	}
 	// More span at fixed work lowers utilization.
-	if !(utilization(1e9, 1e6, 15) > utilization(1e9, 1e8, 15)) {
+	if !(utilization(sched.Cost{WorkNanos: 1e9, SpanNanos: 1e6}, 15) > utilization(sched.Cost{WorkNanos: 1e9, SpanNanos: 1e8}, 15)) {
 		t.Fatal("utilization not decreasing in span")
 	}
 }

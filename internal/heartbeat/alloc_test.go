@@ -2,6 +2,8 @@ package heartbeat
 
 import (
 	"testing"
+
+	"tpal/internal/sched"
 )
 
 // measurePromotionAllocs runs setup once, then measures allocations per
@@ -59,7 +61,7 @@ func TestPromotionIsSingleAllocation(t *testing.T) {
 	// loopTask allocation alone.
 	t.Run("For", func(t *testing.T) {
 		allocs := measurePromotionAllocs(t, func(c *Ctx) func() {
-			c.loops = append(c.loops, loopState{flat: func(int) {}, join: &join{}})
+			c.loops = append(c.loops, loopState{flat: func(int) {}, join: &sched.Join{}})
 			c.marks = append(c.marks, markRef{lo: 0})
 			ls := &c.loops[0]
 			return func() { ls.next, ls.stop = 0, 1024 }
@@ -106,7 +108,7 @@ func resetFold[V any, F folder[V]](c *Ctx, s *foldState[V, F]) func() {
 		s.next, s.stop = 0, 1024
 		clear(s.children[:cap(s.children)])
 		s.children = s.children[:0]
-		s.pending.Store(0)
+		s.join = sched.Join{}
 	}
 }
 

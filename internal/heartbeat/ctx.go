@@ -2,8 +2,6 @@ package heartbeat
 
 import (
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"tpal/internal/sched"
 	"tpal/internal/trace"
@@ -31,17 +29,8 @@ type Ctx struct {
 	stacks    []frameStack // every callStack this context has used
 	lastStack frameStack   // the one used last: Fork2Call's first guess
 
-	// Critical-path (span) tracking for the at-scale performance model:
-	// a task's span is its creation point's span plus its self time
-	// (wall time net of join waits), floored by the spans of tasks it
-	// joined. Clock reads happen only at task boundaries, promotions,
-	// and joins, so tracking is always on and costs nothing on the hot
-	// path.
-	start  time.Time
-	base   int64 // span at task creation, ns
-	helped int64 // wall time spent inside join waits (helping or idle)
-	floor  int64 // span floor raised by joined children
-	recID  int   // task id in the vtime recorder, when recording
+	span  sched.Span // the task's place in the cost model
+	recID int        // task id in the vtime recorder, when recording
 }
 
 // ctxFreeList is a worker's free list of task contexts, kept in
@@ -68,8 +57,8 @@ func newCtx(w *sched.Worker, rt *RT, base int64, recID int) *Ctx {
 	} else {
 		c = &Ctx{}
 	}
-	c.w, c.rt, c.start, c.base, c.recID = w, rt, time.Now(), base, recID
-	c.helped, c.floor = 0, 0
+	c.w, c.rt, c.recID = w, rt, recID
+	c.span.Begin(base)
 	return c
 }
 
@@ -91,56 +80,24 @@ func (c *Ctx) retire() int64 {
 	return span
 }
 
+// finish records the task's self time as work, and with the vtime
+// recorder if there is one, and returns the task's final span. Called
+// exactly once, when the task's function returns.
+func (c *Ctx) finish() int64 {
+	self, span := c.w.Finish(&c.span)
+	if rec := c.rt.cfg.Recorder; rec != nil {
+		rec.Finish(c.recID, self)
+	}
+	return span
+}
+
 // recordSpawn registers a promotion with the vtime recorder (if any)
 // and returns the child's recorder id.
 func (c *Ctx) recordSpawn() int {
 	if rec := c.rt.cfg.Recorder; rec != nil {
-		return rec.Spawn(c.recID, c.selfNanos())
+		return rec.Spawn(c.recID, c.span.Self())
 	}
 	return 0
-}
-
-// selfNanos is the task's accumulated self time.
-func (c *Ctx) selfNanos() int64 {
-	return time.Since(c.start).Nanoseconds() - c.helped
-}
-
-// SpanNow is the span of the computation's critical path through this
-// task, as of now.
-func (c *Ctx) SpanNow() int64 {
-	s := c.base + c.selfNanos()
-	if c.floor > s {
-		return c.floor
-	}
-	return s
-}
-
-// raiseFloor folds a joined child's final span into this task's span.
-func (c *Ctx) raiseFloor(span int64) {
-	if span > c.floor {
-		c.floor = span
-	}
-}
-
-// finish records the task's self time as work and returns its final
-// span. Called exactly once, when the task's function returns.
-func (c *Ctx) finish() int64 {
-	self := c.selfNanos()
-	c.w.AddSelfWork(self)
-	if rec := c.rt.cfg.Recorder; rec != nil {
-		rec.Finish(c.recID, self)
-	}
-	return c.SpanNow()
-}
-
-// maxInto lifts v into an atomic running maximum.
-func maxInto(a *atomic.Int64, v int64) {
-	for {
-		old := a.Load()
-		if v <= old || a.CompareAndSwap(old, v) {
-			return
-		}
-	}
 }
 
 // Worker returns the worker currently executing this context.
@@ -241,23 +198,6 @@ func (c *Ctx) promoteOne() bool {
 		}
 	}
 	return false
-}
-
-// join is a completion counter for promoted tasks, carrying the maximum
-// final span among them for critical-path tracking.
-type join struct {
-	pending atomic.Int64
-	spanMax atomic.Int64
-}
-
-// wait joins the promoted tasks counted in j: the task helps with other
-// work until they are done, then folds their span into its own. The
-// whole wait (helping other tasks or idling) counts as non-self time.
-func (c *Ctx) wait(j *join) {
-	t0 := time.Now()
-	c.w.WaitJoin(&j.pending)
-	c.helped += time.Since(t0).Nanoseconds()
-	c.raiseFloor(j.spanMax.Load())
 }
 
 // Fork2 executes a and b with fork-join semantics, serially by default:

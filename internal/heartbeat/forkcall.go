@@ -61,7 +61,7 @@ func Fork2Call[A any](c *Ctx, f func(*Ctx, A), aArg, bArg A) {
 	}
 	// Promoted: wait for the child (helping with other work meanwhile).
 	fr.join = nil
-	c.wait(j)
+	c.w.Wait(&c.span, j)
 }
 
 // callFrame is the latent second branch of a Fork2Call: f(·, arg) is
@@ -70,7 +70,7 @@ func Fork2Call[A any](c *Ctx, f func(*Ctx, A), aArg, bArg A) {
 type callFrame[A any] struct {
 	f    func(*Ctx, A)
 	arg  A
-	join *join
+	join *sched.Join
 }
 
 // callStack is a context's stack of latent Fork2Call[A] branches, the
@@ -180,8 +180,8 @@ func (s *callStack[A]) promote(c *Ctx, at int) bool {
 		if fr.join != nil {
 			continue
 		}
-		t := &forkCallTask[A]{f: fr.f, arg: fr.arg, rt: c.rt, base: c.SpanNow(), recID: c.recordSpawn()}
-		t.j.pending.Store(1)
+		t := &forkCallTask[A]{f: fr.f, arg: fr.arg, rt: c.rt, base: c.span.Now(), recID: c.recordSpawn()}
+		t.j.Add(1)
 		fr.join = &t.j
 		t.box.Bind(t)
 		c.w.Spawn(&t.box)
@@ -196,7 +196,7 @@ func (s *callStack[A]) promote(c *Ctx, at int) bool {
 // is fine: the whole struct stays reachable until both sides are done.
 type forkCallTask[A any] struct {
 	box   sched.Box
-	j     join
+	j     sched.Join
 	f     func(*Ctx, A)
 	arg   A
 	rt    *RT
@@ -208,6 +208,5 @@ type forkCallTask[A any] struct {
 func (t *forkCallTask[A]) Run(w *sched.Worker) {
 	cc := newCtx(w, t.rt, t.base, t.recID)
 	t.f(cc, t.arg)
-	maxInto(&t.j.spanMax, cc.retire())
-	t.j.pending.Add(-1)
+	t.j.Done(cc.retire())
 }

@@ -25,7 +25,7 @@ func (c *Ctx) For(lo, hi int, body func(i int)) {
 		return
 	}
 	if j := c.runLoop(loopState{next: lo, stop: hi, flat: body}); j != nil {
-		c.wait(j)
+		c.w.Wait(&c.span, j)
 	}
 }
 
@@ -56,7 +56,7 @@ func (c *Ctx) ForNested(lo, hi int, body func(cc *Ctx, i int)) {
 		return
 	}
 	if j := c.runLoop(loopState{next: lo, stop: hi, body: body}); j != nil {
-		c.wait(j)
+		c.w.Wait(&c.span, j)
 	}
 }
 
@@ -77,14 +77,14 @@ type loopState struct {
 	next, stop int
 	flat       func(int)
 	body       func(*Ctx, int)
-	join       *join // lazily allocated at first promotion; shared by the whole loop tree
+	join       *sched.Join // lazily allocated at first promotion; shared by the whole loop tree
 }
 
 // runLoop executes l's iterations with stride polling. For the duration
 // the loop lives by value on the context's loop stack, registered in
 // the mark list; runLoop returns its join, nil unless a heartbeat
 // promoted part of it.
-func (c *Ctx) runLoop(l loopState) *join {
+func (c *Ctx) runLoop(l loopState) *sched.Join {
 	k := len(c.loops)
 	c.loops = append(c.loops, l)
 	c.marks = append(c.marks, markRef{lo: k})
@@ -135,18 +135,18 @@ func (ls *loopState) promote(c *Ctx) bool {
 		return false
 	}
 	if ls.join == nil {
-		ls.join = &join{}
+		ls.join = &sched.Join{}
 	}
 	j := ls.join
 	mid := ls.next + remaining/2
 	childLo, childHi := mid, ls.stop
 	ls.stop = mid
 
-	j.pending.Add(1)
+	j.Add(1)
 	t := &loopTask{
 		next: childLo, stop: childHi,
 		flat: ls.flat, body: ls.body, j: j,
-		rt: c.rt, base: c.SpanNow(), recID: c.recordSpawn(),
+		rt: c.rt, base: c.span.Now(), recID: c.recordSpawn(),
 	}
 	t.box.Bind(t)
 	c.w.Spawn(&t.box)
@@ -162,7 +162,7 @@ type loopTask struct {
 	next, stop int
 	flat       func(int)
 	body       func(*Ctx, int)
-	j          *join
+	j          *sched.Join
 	rt         *RT
 	base       int64
 	recID      int
@@ -172,8 +172,7 @@ type loopTask struct {
 func (t *loopTask) Run(w *sched.Worker) {
 	cc := newCtx(w, t.rt, t.base, t.recID)
 	cc.runLoop(loopState{next: t.next, stop: t.stop, flat: t.flat, body: t.body, join: t.j})
-	maxInto(&t.j.spanMax, cc.retire())
-	t.j.pending.Add(-1)
+	t.j.Done(cc.retire())
 }
 
 // Reduce folds leaf results over [lo, hi) with latent parallelism.
@@ -287,13 +286,13 @@ func (a accumulator[T]) merge(into, from T) T {
 // progress: the view v folds the indices [next, stop). Promotion (from
 // a poll on the owning goroutine) shrinks stop and hands the upper half
 // of what remains to a child task with a view of its own; the running
-// fold advances next. The children join through the embedded join.
+// fold advances next. The children join through join.
 type foldState[V any, F folder[V]] struct {
 	f          F
 	next, stop int
 	v          V
-	join
-	children []*foldTask[V, F]
+	join       sched.Join
+	children   []*foldTask[V, F]
 }
 
 // run folds s's range with stride polling, then joins the children and
@@ -311,7 +310,7 @@ func (s *foldState[V, F]) run(c *Ctx) V {
 	}
 	c.popMark(s)
 	if len(s.children) > 0 {
-		c.wait(&s.join)
+		c.w.Wait(&c.span, &s.join)
 		for i := len(s.children) - 1; i >= 0; i-- {
 			s.v = s.f.merge(s.v, s.children[i].v)
 		}
@@ -328,11 +327,11 @@ func (s *foldState[V, F]) promote(c *Ctx, _ int) bool {
 	t := &foldTask[V, F]{
 		foldState: foldState[V, F]{f: s.f, next: mid, stop: s.stop},
 		parent:    &s.join,
-		rt:        c.rt, base: c.SpanNow(), recID: c.recordSpawn(),
+		rt:        c.rt, base: c.span.Now(), recID: c.recordSpawn(),
 	}
 	s.stop = mid
 	s.children = append(s.children, t)
-	s.pending.Add(1)
+	s.join.Add(1)
 	t.box.Bind(t)
 	c.w.Spawn(&t.box)
 	return true
@@ -344,7 +343,7 @@ func (s *foldState[V, F]) promote(c *Ctx, _ int) bool {
 type foldTask[V any, F folder[V]] struct {
 	box sched.Box
 	foldState[V, F]
-	parent *join
+	parent *sched.Join
 	rt     *RT
 	base   int64
 	recID  int
@@ -355,6 +354,5 @@ func (t *foldTask[V, F]) Run(w *sched.Worker) {
 	cc := newCtx(w, t.rt, t.base, t.recID)
 	t.v = t.f.view()
 	t.run(cc)
-	maxInto(&t.parent.spanMax, cc.retire())
-	t.parent.pending.Add(-1)
+	t.parent.Done(cc.retire())
 }

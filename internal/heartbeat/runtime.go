@@ -122,21 +122,7 @@ type Stats struct {
 	Sched      sched.Stats
 	Interrupts interrupt.Stats
 	Promotions int64
-	// WorkNanos and SpanNanos are the run's cost-model work (T₁: total
-	// task self time) and critical-path span (T∞), used to project
-	// performance at core counts this host does not have via Brent's
-	// bound T_P ≈ T₁/P + T∞.
-	WorkNanos int64
-	SpanNanos int64
-}
-
-// ProjectedTime estimates the run's duration on p cores from the
-// measured work and span (greedy-scheduler bound).
-func (s Stats) ProjectedTime(p int) time.Duration {
-	if p < 1 {
-		p = 1
-	}
-	return time.Duration(s.WorkNanos/int64(p) + s.SpanNanos)
+	sched.Cost // work and span, for projecting to more cores
 }
 
 // Run executes root under heartbeat scheduling and returns run
@@ -158,9 +144,8 @@ func (rt *RT) Run(root func(*Ctx)) Stats {
 		Sched:      pool.Stats(),
 		Interrupts: rt.cfg.Mechanism.Stats(),
 		Promotions: pool.TasksCreated(),
-		SpanNanos:  rootSpan,
 	}
-	st.WorkNanos = st.Sched.SelfWorkNanos
+	st.Cost = sched.Cost{WorkNanos: st.Sched.SelfWorkNanos, SpanNanos: rootSpan}
 	return st
 }
 

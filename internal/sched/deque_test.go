@@ -300,7 +300,7 @@ func TestMultiWorkerStress(t *testing.T) {
 func TestSelfWorkAccounting(t *testing.T) {
 	p := NewPool(1)
 	p.Run(func(w *Worker) {
-		w.AddSelfWork(12345)
+		w.SelfWorkNanos += 12345
 	})
 	if got := p.Stats().SelfWorkNanos; got != 12345 {
 		t.Fatalf("SelfWorkNanos = %d", got)

@@ -41,7 +41,7 @@ type Worker struct {
 	PenaltyNanos   int64 // simulated handler time paid
 	BusyNanos      int64 // wall time inside top-level task execution
 	JoinIdleNanos  int64 // time spent in joins with nothing to help with
-	SelfWorkNanos  int64 // task wall time net of join waits (cost-model work)
+	SelfWorkNanos  int64 // task wall time net of join waits (cost-model work; see Finish)
 
 	execDepth int // nesting of execute (helping in joins re-enters)
 	busyStart time.Time
@@ -101,11 +101,6 @@ func (w *Worker) SetBeatSource(s BeatSource) {
 // density. Every skipped poll is detection latency, so the source owns
 // the bound. Owner-goroutine only.
 func (w *Worker) SetPollSkip(n int32) { w.pollSkip = n }
-
-// AddSelfWork records a completed task's self time (wall time minus time
-// spent waiting at joins), the T₁ contribution used by the at-scale
-// performance model. Owner-goroutine only.
-func (w *Worker) AddSelfWork(nanos int64) { w.SelfWorkNanos += nanos }
 
 // SkipPoll reports whether this poll is one the beat source asked to
 // skip, counting it off. It is the whole cost of a promotion-ready

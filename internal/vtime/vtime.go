@@ -70,10 +70,11 @@ func (r *Recorder) Tasks() int {
 	return len(r.tasks)
 }
 
-// DAG freezes the recording into a simulatable DAG. It errors if any
-// task never finished or a spawn offset exceeds its parent's self time
-// (clamped with a tolerance: offsets are measured with a different
-// clock read than durations, so small overshoots are normal).
+// DAG freezes the recording into a simulatable DAG. It errors only if a
+// task never finished. A spawn offset past its parent's self time is
+// not an error: offsets are measured with a different clock read than
+// durations, so overshoots are normal, and DAG clamps the offset to the
+// parent's self time.
 func (r *Recorder) DAG() (*DAG, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
