@@ -159,3 +159,21 @@ func TestBackendFlag(t *testing.T) {
 		t.Errorf("-backend bogus: exit code = %d, want %d", code, exitUsage)
 	}
 }
+
+// TestTraceAppendixD pins the Appendix D execution-trace view: prod at
+// a=4, b=5 and ♥=6, one line per transition and per task event, with
+// the heartbeat redirections, followed by the final registers. The
+// expected output lives in testdata/appendix_d_prod.txt.
+func TestTraceAppendixD(t *testing.T) {
+	code, out, errOut := runTool(t, "-builtin", "prod", "-reg", "a=4,b=5", "-heartbeat", "6", "-trace")
+	if code != exitOK {
+		t.Fatalf("exit code = %d, want %d; stderr: %s", code, exitOK, errOut)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "appendix_d_prod.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("trace differs from testdata/appendix_d_prod.txt:\n%s", out)
+	}
+}

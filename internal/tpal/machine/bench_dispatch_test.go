@@ -9,6 +9,7 @@ import (
 	"tpal/internal/tpal/machine"
 	"tpal/internal/tpal/machine/compile"
 	"tpal/internal/tpal/programs"
+	"tpal/internal/trace"
 )
 
 // plusReduceMP is the finest-grained kernel as a minipar reduction
@@ -66,6 +67,8 @@ func BenchmarkDispatch(b *testing.B) {
 		{name: "heartbeat", cfg: machine.Config{Heartbeat: 30}},
 		{name: "race", cfg: machine.Config{Heartbeat: 30, RaceDetect: true}},
 		{name: "fanout", cfg: machine.Config{Heartbeat: 2}, only: "fib"},
+		{name: "traced", cfg: machine.Config{Heartbeat: 30, Tracer: trace.New(1, 4096)}},
+		{name: "hooked", cfg: machine.Config{Heartbeat: 30, Trace: func(machine.TraceEvent) {}}},
 	}
 	for _, c := range cases {
 		// Pre-compile once, so this measures dispatch alone; the
