@@ -114,15 +114,16 @@ cover:
 
 # bench runs every Go micro-benchmark the repository keeps: per-step
 # dispatch cost of the interpreter vs the closure-threaded backend
-# (corpus and the plus-reduce kernel; serial, heartbeat, sanitizer and
-# fan-out configurations) and the one-time lowering cost per corpus
-# program, the cost of one promotion, the per-spawn cost of one-worker
-# Cilk (BenchmarkSpawn2Serial), one full static analysis of the
-# minipar triple nest (raw and optimized, races off and on, with
-# allocations), one submission's front end and admission gate
-# (BenchmarkAdmit, with allocations), and the four design ablations of
-# DESIGN.md §5. How fast the system is end to end is not measured here
-# but by `bash benchmark/run.sh`; the paper's figures are tpal-bench's.
+# (corpus and the plus-reduce kernel; serial, heartbeat, sanitizer,
+# fan-out, ring-traced and empty-hook configurations) and the one-time
+# lowering cost per corpus program, the cost of one promotion, the
+# per-spawn cost of one-worker Cilk (BenchmarkSpawn2Serial), one full
+# static analysis of the minipar triple nest (raw and optimized, races
+# off and on, with allocations), one submission's front end and
+# admission gate (BenchmarkAdmit, with allocations), and the four
+# design ablations of DESIGN.md §5. How fast the system is end to end
+# is not measured here but by `bash benchmark/run.sh`; the paper's
+# figures are tpal-bench's.
 bench:
 	$(GO) test ./internal/tpal/machine ./internal/tpal/analysis ./internal/serve ./internal/heartbeat ./internal/cilk . -run='^$$' -bench . -benchtime 1s
 

@@ -178,7 +178,7 @@ func checkGap(c corpusEntry, hb int64, capacity int) (gapCheck, *trace.Trace, er
 	res, err := machine.Run(c.prog, machine.Config{
 		Heartbeat: hb,
 		Regs:      c.regs,
-		Tracer:    tr,
+		Trace:     machine.Record(tr),
 	})
 	if err != nil {
 		return gapCheck{}, nil, fmt.Errorf("%s: machine: %w", c.name, err)

@@ -476,7 +476,7 @@ func (s *Service) execute(j *Job) {
 		Context:    ctx,
 		Regs:       j.regs,
 		SkipVerify: true,
-		Tracer:     tracer,
+		Trace:      machine.Record(tracer),
 	}
 	res, err := machine.Run(j.prog, runCfg)
 	if tracer != nil {

@@ -67,7 +67,7 @@ func BenchmarkDispatch(b *testing.B) {
 		{name: "heartbeat", cfg: machine.Config{Heartbeat: 30}},
 		{name: "race", cfg: machine.Config{Heartbeat: 30, RaceDetect: true}},
 		{name: "fanout", cfg: machine.Config{Heartbeat: 2}, only: "fib"},
-		{name: "traced", cfg: machine.Config{Heartbeat: 30, Tracer: trace.New(1, 4096)}},
+		{name: "traced", cfg: machine.Config{Heartbeat: 30, Trace: machine.Record(trace.New(1, 4096))}},
 		{name: "hooked", cfg: machine.Config{Heartbeat: 30, Trace: func(machine.TraceEvent) {}}},
 	}
 	for _, c := range cases {

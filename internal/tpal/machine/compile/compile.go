@@ -13,9 +13,8 @@
 // The interpreter lowering in package machine remains the
 // differential-testing oracle: for every program, schedule, seed, and
 // budget, this lowering must produce identical results, identical fault
-// errors (byte for byte), identical Stats (including MaxPromotionGap
-// and TripCounts), identical Trace/Tracer event streams, and identical
-// race-sanitizer verdicts. The equivalence suite and FuzzBackendEquiv
+// errors (byte for byte), identical Stats (including MaxPromotionGap),
+// identical Trace event streams, and identical race-sanitizer verdicts. The equivalence suite and FuzzBackendEquiv
 // in this package enforce that contract; DESIGN.md §15 specifies it.
 package compile
 

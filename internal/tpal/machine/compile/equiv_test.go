@@ -72,8 +72,8 @@ func runOn(p *tpal.Program, cfg machine.Config, compiled bool) outcome {
 
 // assertEquiv runs p under cfg on interpreter and compiled backend and
 // requires identical outcomes: same error text (or both nil), same
-// final register file, same Stats including MaxPromotionGap and
-// TripCounts, and the same per-instruction trace stream.
+// final register file, same Stats including MaxPromotionGap, and the
+// same trace stream.
 func assertEquiv(t *testing.T, label string, p *tpal.Program, cfg machine.Config) {
 	t.Helper()
 	// Heartbeat 1 livelocks some corpus programs in the interpreter
@@ -135,7 +135,6 @@ func TestCorpusEquiv(t *testing.T) {
 	for _, c := range corpusCases() {
 		for i, cfg := range scheduleMatrix() {
 			cfg.RaceDetect = true
-			cfg.CountTrips = true
 			cfg.Regs = c.regs
 			assertEquiv(t, fmt.Sprintf("%s/schedule-%d", c.name, i), c.prog, cfg)
 		}
@@ -195,7 +194,6 @@ func TestMiniparEquiv(t *testing.T) {
 	for _, c := range miniparCases(t) {
 		for i, cfg := range scheduleMatrix() {
 			cfg.RaceDetect = true
-			cfg.CountTrips = true
 			cfg.Regs = c.regs
 			assertEquiv(t, fmt.Sprintf("%s/schedule-%d", c.name, i), c.prog, cfg)
 		}
@@ -315,7 +313,6 @@ func TestFaultEquiv(t *testing.T) {
 		for i, cfg := range scheduleMatrix() {
 			cfg.SkipVerify = true
 			cfg.RaceDetect = true
-			cfg.CountTrips = true
 			assertEquiv(t, fmt.Sprintf("%s/schedule-%d", c.name, i), p, cfg)
 		}
 	}
@@ -334,7 +331,7 @@ func budgetCases() []cfgCase {
 	var out []cfgCase
 	for _, fuel := range []int64{1, 7, 100, 1000} {
 		out = append(out, cfgCase{fmt.Sprintf("fuel-%d", fuel),
-			machine.Config{Heartbeat: 8, Fuel: fuel, Regs: regs, CountTrips: true}})
+			machine.Config{Heartbeat: 8, Fuel: fuel, Regs: regs}})
 	}
 	for _, steps := range []int64{1, 50, 500} {
 		out = append(out, cfgCase{fmt.Sprintf("maxsteps-%d", steps),
@@ -418,7 +415,7 @@ func TestReusedProgramIsolation(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		res, err := cp.Run(machine.Config{
-			SkipVerify: true, Heartbeat: 8, RaceDetect: true, CountTrips: true,
+			SkipVerify: true, Heartbeat: 8, RaceDetect: true,
 			Regs: machine.RegFile{"n": machine.IntV(10)},
 		})
 		if err != nil {
@@ -439,8 +436,7 @@ func TestExtraEntryRegs(t *testing.T) {
 
 func extraEntryRegsConfig() machine.Config {
 	return machine.Config{
-		Heartbeat:  8,
-		CountTrips: true,
+		Heartbeat: 8,
 		Regs: machine.RegFile{
 			"a": machine.IntV(5), "b": machine.IntV(5),
 			"unused_entry": machine.IntV(99),
@@ -478,7 +474,6 @@ func FuzzBackendEquiv(f *testing.F) {
 			Seed:       seed,
 			MaxSteps:   20_000,
 			RaceDetect: true,
-			CountTrips: true,
 			Regs:       c.regs,
 		}
 		if schedule%2 == 1 {

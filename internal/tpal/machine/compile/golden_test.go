@@ -35,7 +35,7 @@ type goldenCase struct {
 
 // goldenCases enumerates everything the equivalence suite runs — the
 // corpus, every minipar sample, and the fault-path programs across the
-// 12-config schedule matrix with the sanitizer and trip counting on,
+// 12-config schedule matrix with the sanitizer on,
 // plus the budget/cancellation cuts and the slot-less entry register —
 // under assertEquiv's step ceiling.
 func goldenCases(t *testing.T) []goldenCase {
@@ -50,7 +50,6 @@ func goldenCases(t *testing.T) []goldenCase {
 	for _, c := range append(corpusCases(), miniparCases(t)...) {
 		for i, cfg := range scheduleMatrix() {
 			cfg.RaceDetect = true
-			cfg.CountTrips = true
 			cfg.Regs = c.regs
 			add(fmt.Sprintf("%s/schedule-%d", c.name, i), c.prog, cfg)
 		}
@@ -63,7 +62,6 @@ func goldenCases(t *testing.T) []goldenCase {
 		for i, cfg := range scheduleMatrix() {
 			cfg.SkipVerify = true
 			cfg.RaceDetect = true
-			cfg.CountTrips = true
 			add(fmt.Sprintf("fault/%s/schedule-%d", c.name, i), p, cfg)
 		}
 	}
@@ -76,12 +74,14 @@ func goldenCases(t *testing.T) []goldenCase {
 
 // schedDigest runs one case on the interpreter (machine.Run) or the
 // compiled lowering (Run) and hashes everything a scheduler change
-// could move: the full per-transition Config.Trace stream, the
-// Config.Tracer event stream (kind name and payloads, in recording
-// order, timestamps excluded; the name, not the Kind number, so that
-// adding or deleting a kind the machine never records leaves the digests
-// alone), the error text, every Stats field by name, and the final
-// register file in rendered form.
+// could move: the Config.Trace stream, the error text, every Stats
+// field by name, and the final register file in rendered form. Each
+// event first goes through machine.Record, whose ring events are hashed
+// as an E record (kind name and payloads, timestamps excluded; the
+// name, not the Kind number, so that adding or deleting a ring kind the
+// machine never records leaves the digests alone). Every event but the
+// gap and fuel checkpoints, which the ring carries, is then hashed as a
+// T record.
 func schedDigest(c goldenCase, compiled bool) string {
 	h := sha256.New()
 	// Events are appended to a buffer with strconv (the streams run to
@@ -97,25 +97,30 @@ func schedDigest(c goldenCase, compiled bool) string {
 	str := func(s string) { buf = append(strconv.AppendQuote(buf, s), ' ') }
 	cfg := c.cfg
 	cfg.Regs = cfg.Regs.Clone()
-	cfg.Trace = func(e machine.TraceEvent) {
-		buf = append(buf, 'T')
-		num(int64(e.Kind))
-		num(int64(e.Task))
-		num(e.Cycles)
-		str(string(e.Label))
-		num(int64(e.Offset))
-		str(e.Instr)
-		str(string(e.Handler))
-		flush(false)
-	}
-	cfg.Tracer = trace.New(1, 1)
-	cfg.Tracer.SetSink(func(e trace.Event) {
+	tr := trace.New(1, 1)
+	tr.SetSink(func(e trace.Event) {
 		buf = append(buf, 'E')
 		str(e.Kind.String())
 		num(e.A)
 		num(e.B)
 		flush(false)
 	})
+	record := machine.Record(tr)
+	cfg.Trace = func(e machine.TraceEvent) {
+		record(e)
+		if e.Kind == machine.TraceGap || e.Kind == machine.TraceFuel {
+			return
+		}
+		buf = append(buf, 'T')
+		num(int64(e.Kind))
+		num(int64(e.Task))
+		num(e.Cycles)
+		str(string(e.Label))
+		num(int64(e.Offset))
+		str(e.Instr())
+		str(string(e.Handler))
+		flush(false)
+	}
 	run := machine.Run
 	if compiled {
 		run = Run
@@ -130,13 +135,9 @@ func hashOutcome(h hash.Hash, res machine.Result, err error) {
 	if err != nil {
 		fmt.Fprintf(h, "error %s\n", err)
 	}
-	// Every Stats field, by name. Trip counts are left out: each one is
-	// a function of the hashed Trace stream (block-head events per task).
 	st := reflect.ValueOf(res.Stats)
 	for i := range st.NumField() {
-		if name := st.Type().Field(i).Name; name != "TripCounts" {
-			fmt.Fprintf(h, "stat %s=%v\n", name, st.Field(i))
-		}
+		fmt.Fprintf(h, "stat %s=%v\n", st.Type().Field(i).Name, st.Field(i))
 	}
 	regs := renderRegs(res.Regs)
 	names := make([]string, 0, len(regs))

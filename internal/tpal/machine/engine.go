@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"tpal/internal/tpal"
-	"tpal/internal/trace"
 )
 
 // SchedulePolicy selects how the machine interleaves runnable tasks.
@@ -77,27 +76,12 @@ type Config struct {
 	// definite machine faults, so rejecting them up front is the
 	// default; tests exercising the dynamic fault paths opt out here.
 	SkipVerify bool
-	// Trace, when set, receives one event per machine transition plus
-	// task lifecycle events — the Appendix D execution-trace view. Use
-	// WriteTrace to render to a writer.
+	// Trace, when set, is the machine's one observer: it receives an
+	// event per machine transition, per task start and end, per
+	// promotion-gap closure and per fuel checkpoint. WriteTrace renders
+	// the Appendix D execution-trace view; Record feeds a runtime
+	// tracer ring.
 	Trace func(TraceEvent)
-	// Tracer, when set, records the run's coarse-grained events — task
-	// lifecycle, promotions, fuel checkpoints, promotion-latency gap
-	// closures — into the shared runtime tracer (lane 0; the machine is
-	// single-threaded). Unlike Trace it is not per-instruction, so it
-	// stays cheap on long runs, and its gap events feed the histogram
-	// that the trace tools compare against the static TP050 bound.
-	Tracer *trace.Tracer
-	// CountTrips enables per-label trip counting: each time a task's
-	// control arrives at a block head and executes the block, its
-	// private counter for that label increments. An arrival that is
-	// diverted to a heartbeat handler is not counted — the handler's
-	// return re-arrives at the same head and is counted then, so one
-	// logical loop iteration counts once no matter how many interrupts
-	// it absorbs. Counters fold into Stats.TripCounts at task
-	// retirement; this is the dynamic side of the phase-7 static trip
-	// bound (observed per-task trips never exceed the inferred Hi).
-	CountTrips bool
 }
 
 // Stats aggregates execution statistics, including the cost-semantics
@@ -119,13 +103,6 @@ type Stats struct {
 	// task retirement. The static liveness pass proves an upper bound on
 	// this number for LatencyFinite programs.
 	MaxPromotionGap int64
-	// TripCounts, under Config.CountTrips, maps each block label to the
-	// maximum number of times any single task entered and executed it.
-	// The per-task maximum (not the sum across tasks) is what the
-	// static trip bound constrains: a promoted loop splits its
-	// iteration space across tasks, and every task's share — including
-	// its final guard-failing entry — is at most the serial count.
-	TripCounts map[tpal.Label]int64
 }
 
 // Result is the outcome of a machine run: the register file of the task
@@ -158,7 +135,7 @@ var ErrVerify = errors.New("tpal machine: program rejected by static verifier")
 // An Op performs its operation on t and either advances the program
 // counter (Task.Next) or transfers control (Task.Goto, Engine.Fork,
 // Engine.Join, Engine.Halt). Everything per-transition — budgets, the
-// heartbeat poll, trip counts, tracing, cost counters, signal delivery —
+// heartbeat poll, tracing, cost counters, signal delivery —
 // runs in the engine's step prologue before the Op is called, so a
 // lowering decides how one instruction is dispatched and nothing about
 // how tasks are scheduled.
@@ -302,11 +279,6 @@ type Task struct {
 	// clock is the task's vector clock, maintained only under
 	// Config.RaceDetect (nil otherwise).
 	clock vclock
-
-	// trips counts executed block entries per label, allocated lazily
-	// under Config.CountTrips and max-folded into Stats.TripCounts when
-	// the task retires.
-	trips map[tpal.Label]int64
 }
 
 // Reg reads the register in slot s.
@@ -435,11 +407,6 @@ func (e *Engine) run() (Result, error) {
 	if !e.halted {
 		return Result{}, fmt.Errorf("%w: all tasks terminated without executing halt", ErrMachine)
 	}
-	// Tasks still live at halt (including the halting task itself)
-	// never pass removeTask; fold their trip counters here.
-	for _, t := range e.tasks {
-		e.foldTrips(t)
-	}
 	return Result{Regs: e.finalRegs(), Stats: e.stats}, nil
 }
 
@@ -481,12 +448,12 @@ func (e *Engine) checkBudget() error {
 		default:
 		}
 	}
-	if e.cfg.Tracer != nil && e.stats.Steps&ctxCheckMask == 0 {
+	if e.cfg.Trace != nil && e.stats.Steps&ctxCheckMask == 0 {
 		remaining := int64(-1)
 		if e.cfg.Fuel > 0 {
 			remaining = e.cfg.Fuel - e.stats.Steps
 		}
-		e.cfg.Tracer.Record(0, trace.EvFuelCheck, e.stats.Steps, remaining)
+		e.cfg.Trace(TraceEvent{Kind: TraceFuel, Cycles: e.stats.Steps, Offset: int(remaining)})
 	}
 	return nil
 }
@@ -522,14 +489,6 @@ func (e *Engine) step(t *Task) error {
 			return nil
 		}
 	}
-	if e.cfg.CountTrips && t.off == 0 {
-		// The arrival is committed to executing this block (any
-		// heartbeat diversion happened above), so it counts as a trip.
-		if t.trips == nil {
-			t.trips = make(map[tpal.Label]int64)
-		}
-		t.trips[b.label]++
-	}
 	if e.cfg.Trace != nil {
 		e.traceStep(t)
 	}
@@ -562,7 +521,9 @@ func (e *Engine) noteGap(t *Task) {
 	if t.sincePrppt > e.stats.MaxPromotionGap {
 		e.stats.MaxPromotionGap = t.sincePrppt
 	}
-	e.cfg.Tracer.Record(0, trace.EvGap, t.sincePrppt, int64(t.id))
+	if e.cfg.Trace != nil {
+		e.cfg.Trace(TraceEvent{Kind: TraceGap, Task: t.id, Cycles: t.sincePrppt})
+	}
 	t.sincePrppt = 0
 }
 
@@ -576,7 +537,6 @@ func (e *Engine) addTask(t *Task) {
 // removeTask retires t from the schedule. The tombstone lets a Lockstep
 // round skip it in O(1) instead of searching the task list.
 func (e *Engine) removeTask(t *Task) {
-	e.foldTrips(t)
 	t.gone = true
 	for i, u := range e.tasks {
 		if u == t {
@@ -584,23 +544,6 @@ func (e *Engine) removeTask(t *Task) {
 			return
 		}
 	}
-}
-
-// foldTrips retires a task's trip counters into the run-level
-// per-label maximum.
-func (e *Engine) foldTrips(t *Task) {
-	if t.trips == nil {
-		return
-	}
-	if e.stats.TripCounts == nil {
-		e.stats.TripCounts = make(map[tpal.Label]int64)
-	}
-	for l, n := range t.trips {
-		if n > e.stats.TripCounts[l] {
-			e.stats.TripCounts[l] = n
-		}
-	}
-	t.trips = nil
 }
 
 // JrAlloc implements [jralloc]: a fresh join record, initially closed

@@ -8,18 +8,24 @@ import (
 	"tpal/internal/trace"
 )
 
-// TraceEvent describes one machine transition, in the style of the
-// paper's Appendix D execution traces: which task, its cycle counter ⋄,
-// the program point, and the instruction about to execute (or the
-// special promotion-redirect event).
+// TraceEvent is one event of a machine run, in the style of the paper's
+// Appendix D execution traces. Config.Trace receives every event the
+// machine emits; the kind says which fields it fills:
+//
+//	TraceInstr, TraceTerm  Task, Cycles (⋄), Label, Offset; Instr renders it
+//	TracePromotion         Task, Cycles, Label, Offset, Handler (entered)
+//	TraceTaskStart         Task, Label (where it starts)
+//	TraceTaskEnd           Task, Label (where it ends)
+//	TraceGap               Task, Cycles = the promotion gap closed, in steps
+//	TraceFuel              Cycles = steps executed, Offset = fuel left (-1 with no budget)
 type TraceEvent struct {
 	Task    int
 	Cycles  int64
 	Label   tpal.Label
 	Offset  int
-	Instr   string // rendered instruction or terminator
 	Kind    TraceKind
-	Handler tpal.Label // for TracePromotion: the handler entered
+	Handler tpal.Label
+	src     *tpal.Block // the executing block, rendered on demand by Instr
 }
 
 // TraceKind classifies trace events.
@@ -32,7 +38,29 @@ const (
 	TracePromotion
 	TraceTaskStart
 	TraceTaskEnd
+	// TraceGap closes one promotion-latency segment of a task: a prppt
+	// arrival, a fork, a join or halt ends the steps it has run since
+	// its last such event. It is emitted where Stats.MaxPromotionGap is
+	// folded.
+	TraceGap
+	// TraceFuel is a budget checkpoint, every 256 steps.
+	TraceFuel
 )
+
+// Instr renders the instruction or terminator of a TraceInstr or
+// TraceTerm event, and is empty for every other kind. The text is made
+// here, when a hook asks for it, never on the machine's step path.
+func (e TraceEvent) Instr() string {
+	switch {
+	case e.src == nil:
+		return ""
+	case e.Kind == TraceInstr:
+		return e.src.Instrs[e.Offset].String()
+	case e.Kind == TraceTerm:
+		return e.src.Term.String()
+	}
+	return ""
+}
 
 func (e TraceEvent) String() string {
 	switch e.Kind {
@@ -42,55 +70,78 @@ func (e TraceEvent) String() string {
 		return fmt.Sprintf("task %d  spawned at %s", e.Task, e.Label)
 	case TraceTaskEnd:
 		return fmt.Sprintf("task %d  terminated", e.Task)
+	case TraceGap:
+		return fmt.Sprintf("task %d  promotion gap %d", e.Task, e.Cycles)
+	case TraceFuel:
+		return fmt.Sprintf("fuel check at step %d, %d left", e.Cycles, e.Offset)
 	default:
-		return fmt.Sprintf("task %d  ⋄=%-5d %s[%d]  %s", e.Task, e.Cycles, e.Label, e.Offset, e.Instr)
+		return fmt.Sprintf("task %d  ⋄=%-5d %s[%d]  %s", e.Task, e.Cycles, e.Label, e.Offset, e.Instr())
 	}
 }
 
 // WriteTrace returns a trace hook that renders events to w, one per
-// line, suitable for Config.Trace.
+// line, suitable for Config.Trace. Gap and fuel events are not part of
+// the Appendix D view and are skipped.
 func WriteTrace(w io.Writer) func(TraceEvent) {
 	return func(e TraceEvent) {
+		if e.Kind == TraceGap || e.Kind == TraceFuel {
+			return
+		}
 		fmt.Fprintln(w, e.String())
 	}
 }
 
-// traceStep emits the instruction-level event for the transition t is
-// about to take. Instruction text is rendered here, on traced runs only,
-// never at lowering time.
-func (e *Engine) traceStep(t *Task) {
-	ev := TraceEvent{Task: t.id, Cycles: t.cycles, Label: t.block.label, Offset: t.off}
-	if b := t.block.src; t.off < len(b.Instrs) {
-		ev.Kind = TraceInstr
-		ev.Instr = b.Instrs[t.off].String()
-	} else {
-		ev.Kind = TraceTerm
-		ev.Instr = b.Term.String()
+// Record returns a Config.Trace hook that records the run's coarse
+// events into lane 0 of tr (the machine is single-threaded), with the
+// payloads the trace.Kind schema gives the machine: task start and end,
+// promotions, gap closures (which feed the histogram the trace tools
+// hold to the static TP050 bound) and fuel checkpoints. Instruction
+// events are not recorded. Record(nil) is nil, so an untraced run pays
+// nothing.
+func Record(tr *trace.Tracer) func(TraceEvent) {
+	if tr == nil {
+		return nil
 	}
-	e.cfg.Trace(ev)
+	return func(e TraceEvent) {
+		switch e.Kind {
+		case TraceTaskStart:
+			tr.Record(0, trace.EvTaskStart, int64(e.Task), 0)
+		case TraceTaskEnd:
+			tr.Record(0, trace.EvTaskEnd, int64(e.Task), 0)
+		case TracePromotion:
+			tr.Record(0, trace.EvPromotion, int64(e.Task), e.Cycles)
+		case TraceGap:
+			tr.Record(0, trace.EvGap, e.Cycles, int64(e.Task))
+		case TraceFuel:
+			tr.Record(0, trace.EvFuelCheck, e.Cycles, int64(e.Offset))
+		}
+	}
 }
 
-func (e *Engine) tracePromotion(t *Task) {
-	// The runtime tracer and the per-instruction Trace hook are
-	// independent: either may be set without the other.
-	e.cfg.Tracer.Record(0, trace.EvPromotion, int64(t.id), t.cycles)
-	if e.cfg.Trace == nil {
-		return
+// traceStep emits the instruction-level event for the transition t is
+// about to take.
+func (e *Engine) traceStep(t *Task) {
+	kind := TraceInstr
+	if t.off == len(t.block.src.Instrs) {
+		kind = TraceTerm
 	}
 	e.cfg.Trace(TraceEvent{
 		Task: t.id, Cycles: t.cycles, Label: t.block.label, Offset: t.off,
-		Kind: TracePromotion, Handler: t.block.src.Ann.Handler,
+		Kind: kind, src: t.block.src,
 	})
 }
 
+func (e *Engine) tracePromotion(t *Task) {
+	if e.cfg.Trace != nil {
+		e.cfg.Trace(TraceEvent{
+			Task: t.id, Cycles: t.cycles, Label: t.block.label, Offset: t.off,
+			Kind: TracePromotion, Handler: t.block.src.Ann.Handler,
+		})
+	}
+}
+
 func (e *Engine) traceTask(t *Task, kind TraceKind) {
-	if kind == TraceTaskStart {
-		e.cfg.Tracer.Record(0, trace.EvTaskStart, int64(t.id), 0)
-	} else if kind == TraceTaskEnd {
-		e.cfg.Tracer.Record(0, trace.EvTaskEnd, int64(t.id), 0)
+	if e.cfg.Trace != nil {
+		e.cfg.Trace(TraceEvent{Task: t.id, Label: t.block.label, Kind: kind})
 	}
-	if e.cfg.Trace == nil {
-		return
-	}
-	e.cfg.Trace(TraceEvent{Task: t.id, Label: t.block.label, Kind: kind})
 }

@@ -24,7 +24,7 @@ func TestTraceCapturesTransitions(t *testing.T) {
 	if got := res.Regs.Get("c"); got.Int != 6000 {
 		t.Fatalf("c = %v", got)
 	}
-	var kinds [5]int
+	var kinds [TraceFuel + 1]int
 	for _, e := range events {
 		kinds[e.Kind]++
 	}
@@ -48,16 +48,26 @@ func TestTraceCapturesTransitions(t *testing.T) {
 }
 
 func TestWriteTraceRendering(t *testing.T) {
+	loop := asm.MustParse(signalLoopSrc).Block("loop")
 	var sb strings.Builder
 	hook := WriteTrace(&sb)
-	hook(TraceEvent{Task: 1, Cycles: 7, Label: "loop", Offset: 2, Instr: "a := a - 1", Kind: TraceInstr})
+	hook(TraceEvent{Task: 1, Cycles: 7, Label: "loop", Offset: 0, Kind: TraceInstr, src: loop})
+	hook(TraceEvent{Task: 1, Cycles: 8, Label: "loop", Offset: 3, Kind: TraceTerm, src: loop})
 	hook(TraceEvent{Task: 1, Cycles: 9, Label: "loop", Offset: 0, Kind: TracePromotion, Handler: "try"})
 	hook(TraceEvent{Task: 2, Label: "loop-par", Kind: TraceTaskStart})
 	hook(TraceEvent{Task: 2, Kind: TraceTaskEnd})
+	hook(TraceEvent{Task: 2, Cycles: 12, Kind: TraceGap})
+	hook(TraceEvent{Cycles: 256, Offset: -1, Kind: TraceFuel})
 	out := sb.String()
-	for _, want := range []string{"a := a - 1", "--heartbeat--> try", "spawned at loop-par", "terminated"} {
+	for _, want := range []string{
+		"loop[0]  if-jump a, exit", "loop[3]  jump loop",
+		"--heartbeat--> try", "spawned at loop-par", "terminated",
+	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace output missing %q:\n%s", want, out)
 		}
+	}
+	if n := strings.Count(out, "\n"); n != 5 {
+		t.Errorf("rendered %d lines, want 5 (gap and fuel events are not part of the view):\n%s", n, out)
 	}
 }

@@ -158,6 +158,34 @@ block exit-par [.] {
 }
 `
 
+// countTrips sets cfg.Trace to count block entries and returns, per
+// label, the maximum over tasks of how often one task entered and
+// executed that block. An instruction or terminator event at offset 0
+// is such an entry. An arrival diverted to a heartbeat handler emits a
+// promotion event instead; the handler's return re-arrives at the same
+// head and is counted then, so one logical loop iteration counts once
+// no matter how many interrupts it absorbs. The per-task maximum, not
+// the sum across tasks, is what the static trip bound constrains: a
+// promoted loop splits its iteration space across tasks, and each
+// task's share, including its final guard-failing entry, is at most
+// the serial count. The map fills in as the run proceeds.
+func countTrips(cfg *Config) map[tpal.Label]int64 {
+	type entry struct {
+		task  int
+		label tpal.Label
+	}
+	perTask := make(map[entry]int64)
+	trips := make(map[tpal.Label]int64)
+	cfg.Trace = func(e TraceEvent) {
+		if (e.Kind == TraceInstr || e.Kind == TraceTerm) && e.Offset == 0 {
+			k := entry{e.Task, e.Label}
+			perTask[k]++
+			trips[e.Label] = max(trips[e.Label], perTask[k])
+		}
+	}
+	return trips
+}
+
 // staticTripCeilings analyzes p and returns, per loop header, the
 // chain product of inferred per-pass upper bounds along the header's
 // ancestor chain — the bound on any single task's observed entries.
@@ -221,17 +249,16 @@ func TestTripsBoundObserved(t *testing.T) {
 		for _, sc := range matrix {
 			t.Run(pc.name+"/"+sc.name, func(t *testing.T) {
 				cfg := sc.cfg
-				cfg.CountTrips = true
 				cfg.RaceDetect = true
-				res, err := Run(p, cfg)
-				if err != nil {
+				trips := countTrips(&cfg)
+				if _, err := Run(p, cfg); err != nil {
 					t.Fatalf("run: %v", err)
 				}
-				if len(res.Stats.TripCounts) == 0 {
-					t.Fatal("CountTrips produced no counts")
+				if len(trips) == 0 {
+					t.Fatal("no block entries counted")
 				}
 				for h, bound := range ceil {
-					if got := res.Stats.TripCounts[h]; got > bound {
+					if got := trips[h]; got > bound {
 						t.Errorf("header %s observed %d trips, static bound %d", h, got, bound)
 					}
 				}
@@ -245,25 +272,13 @@ func TestTripsBoundObserved(t *testing.T) {
 // respected.
 func TestTripCountsExactSerial(t *testing.T) {
 	p := asm.MustParse(tripCountdownSrc)
-	res, err := Run(p, Config{CountTrips: true})
-	if err != nil {
+	var cfg Config
+	trips := countTrips(&cfg)
+	if _, err := Run(p, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Stats.TripCounts["loop"]; got != 6 {
+	if got := trips["loop"]; got != 6 {
 		t.Errorf("serial loop trips = %d, want exactly 6", got)
-	}
-}
-
-// TestTripCountsOffByDefault: the counter map must stay nil when the
-// knob is off — the hot loop should not pay for an unused feature.
-func TestTripCountsOffByDefault(t *testing.T) {
-	p := asm.MustParse(tripCountdownSrc)
-	res, err := Run(p, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.TripCounts != nil {
-		t.Errorf("TripCounts allocated without CountTrips: %v", res.Stats.TripCounts)
 	}
 }
 
@@ -289,17 +304,16 @@ func FuzzTrips(f *testing.F) {
 		}
 		ceil := staticTripCeilings(t, p, nil)
 		cfg := Config{
-			CountTrips: true,
-			Heartbeat:  hb,
-			Schedule:   SchedulePolicy(schedule % 3),
-			Seed:       int64(schedule),
+			Heartbeat: hb,
+			Schedule:  SchedulePolicy(schedule % 3),
+			Seed:      int64(schedule),
 		}
-		res, err := Run(p, cfg)
-		if err != nil {
+		trips := countTrips(&cfg)
+		if _, err := Run(p, cfg); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		for h, bound := range ceil {
-			if got := res.Stats.TripCounts[h]; got > bound {
+			if got := trips[h]; got > bound {
 				t.Errorf("start=%d hb=%d sched=%d: header %s observed %d trips, static bound %d",
 					start, hb, schedule, h, got, bound)
 			}
