@@ -224,8 +224,9 @@ func sameMembers[T comparable](a, b *members[T]) bool {
 
 // lset is a may-set of labels, with an explicit top ("any label"). The
 // flow interpretation uses it for the labels and join-record
-// continuations a register may hold, the race walker and its
-// flow-insensitive facts for the same two facts inside one branch.
+// continuations a register may hold; the race pass uses it for the same
+// two facts, program-wide in its flow-insensitive facts (flowFacts) and
+// per register inside one branch walk.
 type lset struct{ m *members[tpal.Label] }
 
 var anyLabel = &members[tpal.Label]{top: true}

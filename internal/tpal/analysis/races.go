@@ -9,13 +9,13 @@ package analysis
 // parent's continuation of some fork F and the other in the subtree of
 // F's child (or vice versa). The pass therefore works fork-by-fork:
 // for each reachable fork it walks the parent continuation and the
-// child entry over the flow-sharpened edges (regions.go), collects
+// child entries the flow-sharpened edges name (regions.go), collects
 // each side's abstract accesses, and reports every pair that may touch
 // the same cell of the same dynamic stack instance.
 //
 // Soundness leans on three facts established in regions.go:
 //   - a pointer can only originate at snew and can only reach memory
-//     through a store the taint analysis observes (escaped);
+//     through a store the value-flow facts observe (ptrEsc);
 //   - a block-fresh instance is unaliased by any fork-time non-fresh
 //     value and by memory;
 //   - instances allocated after the fork (news) are distinct from
@@ -62,10 +62,8 @@ func indexEdges(sharp []Edge) map[tpal.Label]map[int][]Edge {
 // returns the race diagnostics. The sharpened edges resolve only the
 // analyzed fork's own child targets; inside a branch the walker
 // resolves all control flow itself (see walker).
-func racePass(p *tpal.Program, ix *regIndex, sharp []Edge, reached map[tpal.Label]bool, entry []tpal.Reg) []Diag {
-	facts := computePtrFacts(p)
-	rf := computeRecFacts(p)
-	lf := computeLabFacts(p, entry)
+func racePass(p *tpal.Program, g *CFG, ix *regIndex, sharp []Edge, reached map[tpal.Label]bool, entry []tpal.Reg) []Diag {
+	facts := computeFlowFacts(p, g, entry)
 	byInstr := indexEdges(sharp)
 
 	var diags []Diag
@@ -97,12 +95,12 @@ func racePass(p *tpal.Program, ix *regIndex, sharp []Edge, reached map[tpal.Labe
 		}
 
 		forkRec := b.Instrs[fs.Instr].Src
-		init := initState(ix, facts, rf, lf, freshAtFork(b, fs.Instr), forkRec)
+		init := initState(ix, facts, freshAtFork(b, fs.Instr), forkRec)
 
-		parent := runBranch(p, ix, facts, rf, lf, func(w *walker) {
+		parent := runBranch(p, ix, facts, func(w *walker) {
 			w.replay(b, fs.Instr+1, init.clone())
 		})
-		child := runBranch(p, ix, facts, rf, lf, func(w *walker) {
+		child := runBranch(p, ix, facts, func(w *walker) {
 			for _, tgt := range targets {
 				w.seed(tgt, init)
 			}
@@ -120,10 +118,10 @@ func racePass(p *tpal.Program, ix *regIndex, sharp []Edge, reached map[tpal.Labe
 // has covered the branch. Both flags grow monotonically and assuming
 // them true only adds seeds, so re-running with the observed flags
 // converges within three rounds.
-func runBranch(p *tpal.Program, ix *regIndex, facts *ptrFacts, rf *recFacts, lf *labFacts, seed func(*walker)) *walker {
+func runBranch(p *tpal.Program, ix *regIndex, facts *flowFacts, seed func(*walker)) *walker {
 	assumePair, assumeOther := false, false
 	for {
-		w := newWalker(p, ix, facts, rf, lf)
+		w := newWalker(p, ix, facts)
 		w.assumePairFork, w.assumeOtherFork = assumePair, assumeOther
 		seed(w)
 		w.run()
@@ -156,7 +154,7 @@ func sortedAccs(m map[accKey]*access) []*access {
 
 // compareBranches reports every logically-parallel pair of accesses that
 // may conflict across the two branch summaries of one fork.
-func compareBranches(facts *ptrFacts, fs tpal.ForkSite, parent, child []*access, emit func(Diag)) {
+func compareBranches(facts *flowFacts, fs tpal.ForkSite, parent, child []*access, emit func(Diag)) {
 	for _, pa := range parent {
 		for _, ca := range child {
 			if !pa.kind.writes() && !ca.kind.writes() {
@@ -193,7 +191,7 @@ func compareBranches(facts *ptrFacts, fs tpal.ForkSite, parent, child []*access,
 // An access marked mayPost may execute after the fork's pairing join,
 // serialized with the whole other branch; a pair involving one is
 // therefore never definite and demotes to a TP064 warning.
-func classify(facts *ptrFacts, fs tpal.ForkSite, pa, ca *access) (Diag, bool) {
+func classify(facts *flowFacts, fs tpal.ForkSite, pa, ca *access) (Diag, bool) {
 	at := func(sev Severity, code Code, msg string) (Diag, bool) {
 		return Diag{Severity: sev, Code: code, Block: fs.Block, Instr: fs.Instr, Msg: msg}, true
 	}
@@ -299,13 +297,13 @@ func posString(b tpal.Label, instr int) string {
 // oldsMayAlias reports whether two sets of fork-time register values may
 // name the same instance, judged by the taint analysis's may-point-to
 // site sets.
-func oldsMayAlias(facts *ptrFacts, a, b []tpal.Reg) bool {
+func oldsMayAlias(facts *flowFacts, a, b []tpal.Reg) bool {
 	for _, ra := range a {
 		for _, rb := range b {
 			if ra == rb {
 				continue
 			}
-			sa, sb := facts.sites[ra], facts.sites[rb]
+			sa, sb := facts.regs[ra].ptrs, facts.regs[rb].ptrs
 			if sa.top() || sb.top() || sa.intersects(sb) {
 				return true
 			}

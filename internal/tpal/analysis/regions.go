@@ -5,24 +5,25 @@ package analysis
 // whether any pair of touches can name the same dynamic cell. Three
 // layers of abstraction answer that:
 //
-//   - a program-wide, flow-insensitive pointer-taint analysis
-//     (computePtrFacts) bounding which registers may ever hold stack
-//     pointers, which snew sites each may name, and whether any pointer
-//     is ever stored to memory (once one is, loads are assumed to yield
-//     arbitrary pointers);
+//   - one program-wide, flow-insensitive value-flow pass (flowFacts)
+//     bounding which snew sites, join records and code labels each
+//     register may ever hold, and whether a value of each kind is ever
+//     stored to memory (once one is, loads yield an arbitrary value of
+//     that kind);
 //
 //   - a block-local freshness scan (freshAtFork) identifying stack
 //     instances allocated by the forking block itself before the fork
 //     and still unaliased by memory — the child-private stacks the
 //     fib/minipar promotion template hands to forked tasks;
 //
-//   - a per-branch provenance dataflow (walker) over the flow-sharpened
-//     CFG classifying every pointer by where its stack instance comes
-//     from relative to the fork: a pre-fork fresh instance, a branch-
-//     local allocation, or the fork-time value of a register.
+//   - a per-branch provenance dataflow (walker), which resolves the
+//     branch's control flow itself and classifies every pointer by
+//     where its stack instance comes from relative to the fork: a
+//     pre-fork fresh instance, a branch-local allocation, or the
+//     fork-time value of a register.
 //
 // Instances from different provenance classes are dynamically distinct
-// (see the disjointness notes on provKind), which is what lets the pass
+// (see the disjointness notes on prov), which is what lets the pass
 // prove the paper's promotion handlers race-free even though every
 // promotion allocates from the same snew site.
 
@@ -33,253 +34,134 @@ import (
 	"tpal/internal/tpal"
 )
 
-// ptrFacts is the result of the flow-insensitive pointer-taint
-// analysis. It over-approximates every dynamic pointer value: a pointer
-// can only originate at an snew and propagate through moves, operator
-// results, ΔR renames, and (once one has been stored) loads, and each
-// of those channels feeds the fixpoint.
-type ptrFacts struct {
-	// sites maps each register to the snew sites whose instances it may
-	// ever hold; a top set means "any site" (the register may be loaded
-	// from memory after a pointer escaped).
-	sites map[tpal.Reg]sidset
-	// escaped reports that some store instruction may store a
-	// pointer-tainted value: after that, memory cells may hold pointers
-	// and loads yield unclassifiable ones.
-	escaped bool
+// flowFacts is the program-wide, flow-insensitive value-flow analysis
+// under the branch walks. It over-approximates, per register, three
+// kinds of value the register may ever hold: stack pointers (by snew
+// site), join records (by jralloc continuation) and code labels. Each
+// kind originates at one instruction (snew, jralloc, a label operand)
+// and flows through moves, ΔR renames, operator results and, once a
+// value of that kind has been stored, loads. The kinds never feed each
+// other, so one fixpoint over all three computes each one's own least
+// fixpoint.
+//
+// The facts are flow-insensitive on purpose: the main interpretation's
+// flow-sharpened facts are merged over the whole program, where one
+// havocked path fans an indirect transfer or a join out to every
+// address-taken label or jtppt and leaks blocks from an unrelated phase
+// of the program into a branch summary. The walkers track values
+// themselves, starting from these facts at the fork and falling back on
+// them at loads and at ⊤ sets.
+type flowFacts struct {
+	regs map[tpal.Reg]regFacts
+	// Escape bits, one per kind: some store may store a value of that
+	// kind, so memory cells may hold one and every load yields ⊤.
+	ptrEsc, recEsc, labEsc bool
+	// conts is every jralloc continuation in the program, the expansion
+	// of a ⊤ record set at a join.
+	conts lset
+	// addrTaken is the CFG's address-taken labels, the expansion of a ⊤
+	// label set at a register-indirect transfer.
+	addrTaken []tpal.Label
 }
 
-// mayPtr reports whether the register may ever hold a stack pointer.
-func (f *ptrFacts) mayPtr(r tpal.Reg) bool {
-	return !f.sites[r].empty()
+// regFacts is what one register may hold: snew sites it may point
+// into, jralloc continuations of the records it may hold, and labels.
+type regFacts struct {
+	ptrs       sidset
+	recs, labs lset
 }
 
-// computePtrFacts runs the taint fixpoint over every instruction of the
+func (r regFacts) empty() bool { return r.ptrs.empty() && r.recs.empty() && r.labs.empty() }
+
+// union folds q into r, reporting whether r grew.
+func (r *regFacts) union(q regFacts) bool {
+	u := regFacts{r.ptrs.union(q.ptrs), r.recs.union(q.recs), r.labs.union(q.labs)}
+	grew := !u.ptrs.equal(r.ptrs) || !u.recs.equal(r.recs) || !u.labs.equal(r.labs)
+	*r = u
+	return grew
+}
+
+// computeFlowFacts runs the fixpoint over every instruction of the
 // program (reachability is irrelevant for a may-analysis; covering dead
-// code only loses precision, never soundness).
-func computePtrFacts(p *tpal.Program) *ptrFacts {
-	f := &ptrFacts{sites: make(map[tpal.Reg]sidset)}
-	add := func(r tpal.Reg, s sidset) bool {
-		if r == "" || s.empty() {
-			return false
+// code only loses precision, never soundness). Entry registers are
+// under the caller's control and may hold any label.
+func computeFlowFacts(p *tpal.Program, g *CFG, entry []tpal.Reg) *flowFacts {
+	f := &flowFacts{regs: make(map[tpal.Reg]regFacts), addrTaken: g.AddrTaken}
+	for _, r := range entry {
+		if r != "" {
+			f.regs[r] = regFacts{labs: lTop()}
 		}
-		cur := f.sites[r]
-		nv := cur.union(s)
-		if nv.equal(cur) {
-			return false
-		}
-		f.sites[r] = nv
-		return true
 	}
-	operand := func(o tpal.Operand) sidset {
-		if o.Kind == tpal.OperReg {
-			return f.sites[o.Reg]
+	changed := false
+	add := func(r tpal.Reg, v regFacts) {
+		if r == "" || v.empty() {
+			return
 		}
-		return sidset{}
+		cur := f.regs[r]
+		if cur.union(v) {
+			f.regs[r] = cur
+			changed = true
+		}
 	}
-	for changed := true; changed; {
+	escape := func(bit *bool, may bool) {
+		if may && !*bit {
+			*bit, changed = true, true
+		}
+	}
+	operand := func(o tpal.Operand) regFacts {
+		switch o.Kind {
+		case tpal.OperReg:
+			return f.regs[o.Reg]
+		case tpal.OperLabel:
+			return regFacts{labs: lOf(o.Label)}
+		}
+		return regFacts{}
+	}
+	for changed = true; changed; {
 		changed = false
 		for _, b := range p.Blocks {
 			for _, rr := range b.Ann.DeltaR {
-				if add(rr.To, f.sites[rr.From]) {
-					changed = true
-				}
+				add(rr.To, f.regs[rr.From])
 			}
 			for i, in := range b.Instrs {
 				switch in.Kind {
 				case tpal.ISNew:
-					if add(in.Dst, sOf(stackID{Block: b.Label, Instr: i})) {
-						changed = true
-					}
-				case tpal.IMove:
-					if add(in.Dst, operand(in.Val)) {
-						changed = true
-					}
-				case tpal.IBinOp:
-					if add(in.Dst, f.sites[in.Src].union(operand(in.Val))) {
-						changed = true
-					}
-				case tpal.ISAlloc, tpal.ISFree:
-					// The register is rewritten to a pointer into the same
-					// stack; its site set is unchanged.
-				case tpal.ILoad:
-					if f.escaped && add(in.Dst, sTop()) {
-						changed = true
-					}
-				case tpal.IStore:
-					if !f.escaped && in.Val.Kind == tpal.OperReg && f.mayPtr(in.Val.Reg) {
-						f.escaped = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return f
-}
-
-// recFacts is a flow-insensitive over-approximation of which join
-// records each register may hold, identified by their continuation
-// label. Records originate only at jralloc and propagate through
-// moves, ΔR renames, and (once one has been stored) loads, so the
-// branch walker can recompute join-edge targets itself instead of
-// inheriting the main interpretation's merged-and-havocked join edges —
-// the one place where global imprecision would otherwise leak blocks
-// from an unrelated phase of the program into a branch summary.
-type recFacts struct {
-	conts   map[tpal.Reg]lset
-	escaped bool
-	// all is every jralloc continuation in the program — the expansion
-	// of a top record set at a join.
-	all lset
-}
-
-func computeRecFacts(p *tpal.Program) *recFacts {
-	f := &recFacts{conts: make(map[tpal.Reg]lset)}
-	var all []tpal.Label
-	add := func(r tpal.Reg, s lset) bool {
-		if r == "" || s.empty() {
-			return false
-		}
-		cur := f.conts[r]
-		nv := cur.union(s)
-		if nv.equal(cur) {
-			return false
-		}
-		f.conts[r] = nv
-		return true
-	}
-	mayRec := func(o tpal.Operand) lset {
-		if o.Kind == tpal.OperReg {
-			return f.conts[o.Reg]
-		}
-		return lset{}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range p.Blocks {
-			for _, rr := range b.Ann.DeltaR {
-				if add(rr.To, f.conts[rr.From]) {
-					changed = true
-				}
-			}
-			for _, in := range b.Instrs {
-				switch in.Kind {
+					add(in.Dst, regFacts{ptrs: sOf(stackID{Block: b.Label, Instr: i})})
 				case tpal.IJrAlloc:
-					all = append(all, in.Lbl)
-					if add(in.Dst, lOf(in.Lbl)) {
-						changed = true
-					}
+					l := lOf(in.Lbl)
+					f.conts = f.conts.union(l)
+					add(in.Dst, regFacts{recs: l})
 				case tpal.IMove:
-					if add(in.Dst, mayRec(in.Val)) {
-						changed = true
-					}
-				case tpal.ILoad:
-					if f.escaped && add(in.Dst, lTop()) {
-						changed = true
-					}
-				case tpal.IStore:
-					if !f.escaped && in.Val.Kind == tpal.OperReg && !f.conts[in.Val.Reg].empty() {
-						f.escaped = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	f.all = lOf(all...)
-	return f
-}
-
-// labFacts is a flow-insensitive over-approximation of which code
-// labels each register may hold, in the same mold as recFacts: labels
-// originate only as move/store value operands and propagate through
-// moves, operator results, ΔR renames, and (once one has been stored)
-// loads. The branch walker uses it to resolve register-indirect jumps,
-// if-jumps, and forks itself: the main interpretation's indirect edges
-// reflect its global merged state, where one havocked path fans an
-// indirect transfer out to every address-taken label and leaks blocks
-// from an unrelated program phase into a branch summary.
-type labFacts struct {
-	labs    map[tpal.Reg]lset
-	escaped bool
-	// addrTaken is every label that appears as a move or store value
-	// operand and names a block — the only labels a register or stack
-	// cell can ever hold, hence the expansion of a top label set.
-	addrTaken []tpal.Label
-}
-
-func computeLabFacts(p *tpal.Program, entry []tpal.Reg) *labFacts {
-	f := &labFacts{labs: make(map[tpal.Reg]lset)}
-	taken := make(map[tpal.Label]bool)
-	add := func(r tpal.Reg, s lset) bool {
-		if r == "" || s.empty() {
-			return false
-		}
-		cur := f.labs[r]
-		nv := cur.union(s)
-		if nv.equal(cur) {
-			return false
-		}
-		f.labs[r] = nv
-		return true
-	}
-	mayLab := func(o tpal.Operand) lset {
-		switch o.Kind {
-		case tpal.OperLabel:
-			return lOf(o.Label)
-		case tpal.OperReg:
-			return f.labs[o.Reg]
-		}
-		return lset{}
-	}
-	// Entry registers are under the caller's control; assume any label.
-	for _, r := range entry {
-		if r != "" {
-			f.labs[r] = lTop()
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range p.Blocks {
-			for _, rr := range b.Ann.DeltaR {
-				if add(rr.To, f.labs[rr.From]) {
-					changed = true
-				}
-			}
-			for _, in := range b.Instrs {
-				switch in.Kind {
-				case tpal.IMove:
-					if in.Val.Kind == tpal.OperLabel {
-						taken[in.Val.Label] = true
-					}
-					if add(in.Dst, mayLab(in.Val)) {
-						changed = true
-					}
+					add(in.Dst, operand(in.Val))
 				case tpal.IBinOp:
-					// Comparisons yield 0/1, never a label.
-					if !in.Op.IsComparison() && add(in.Dst, f.labs[in.Src].union(mayLab(in.Val))) {
-						changed = true
+					// Pointer arithmetic keeps the pointer, records never
+					// survive an operator, and comparisons yield 0/1.
+					v := f.regs[in.Src]
+					v.union(operand(in.Val))
+					v.recs = lset{}
+					if in.Op.IsComparison() {
+						v.labs = lset{}
 					}
+					add(in.Dst, v)
 				case tpal.ILoad:
-					if f.escaped && add(in.Dst, lTop()) {
-						changed = true
+					var v regFacts
+					if f.ptrEsc {
+						v.ptrs = sTop()
 					}
+					if f.recEsc {
+						v.recs = lTop()
+					}
+					if f.labEsc {
+						v.labs = lTop()
+					}
+					add(in.Dst, v)
 				case tpal.IStore:
-					if in.Val.Kind == tpal.OperLabel {
-						taken[in.Val.Label] = true
-					}
-					if !f.escaped && !mayLab(in.Val).empty() {
-						f.escaped = true
-						changed = true
-					}
+					v := operand(in.Val)
+					escape(&f.ptrEsc, !v.ptrs.empty())
+					escape(&f.recEsc, !v.recs.empty())
+					escape(&f.labEsc, !v.labs.empty())
 				}
 			}
-		}
-	}
-	for _, b := range p.Blocks {
-		if taken[b.Label] {
-			f.addrTaken = append(f.addrTaken, b.Label)
 		}
 	}
 	return f
@@ -596,31 +478,22 @@ func (dst *branchState) mergeInto(src *branchState) bool {
 // fork instruction's record register: it definitely holds the fork's
 // own record, and any other record register whose may-continuation set
 // intersects its own may hold a copy of that record.
-func initState(ix *regIndex, facts *ptrFacts, rf *recFacts, lf *labFacts, fresh map[tpal.Reg]freshInfo, forkRec tpal.Reg) *branchState {
+func initState(ix *regIndex, facts *flowFacts, fresh map[tpal.Reg]freshInfo, forkRec tpal.Reg) *branchState {
 	st := newBranchState(ix)
-	for r := range facts.sites {
-		if !facts.mayPtr(r) {
-			continue
+	forkConts := facts.regs[forkRec].recs
+	for r, rf := range facts.regs {
+		d := &st.regs[ix.of(r)]
+		if !rf.ptrs.empty() {
+			if fi, ok := fresh[r]; ok {
+				d.prov = provFresh(fi)
+			} else {
+				d.prov = provOld(r)
+			}
 		}
-		if fi, ok := fresh[r]; ok {
-			st.regs[ix.of(r)].prov = provFresh(fi)
-		} else {
-			st.regs[ix.of(r)].prov = provOld(r)
-		}
-	}
-	for r, ls := range rf.conts {
-		st.regs[ix.of(r)].recs = ls
-	}
-	for r, ls := range lf.labs {
-		st.regs[ix.of(r)].labs = ls
-	}
-	forkConts := rf.conts[forkRec]
-	for r, ls := range rf.conts {
-		if r == forkRec || ls.empty() {
-			continue
-		}
-		if ls.top() || forkConts.top() || ls.intersects(forkConts) {
-			st.regs[ix.of(r)].pair = pairMay
+		d.recs, d.labs = rf.recs, rf.labs
+		if r != forkRec && !rf.recs.empty() &&
+			(rf.recs.top() || forkConts.top() || rf.recs.intersects(forkConts)) {
+			d.pair = pairMay
 		}
 	}
 	if forkRec != "" {
@@ -716,9 +589,7 @@ type accKey struct {
 type walker struct {
 	p     *tpal.Program
 	ix    *regIndex
-	facts *ptrFacts
-	rf    *recFacts
-	lf    *labFacts
+	facts *flowFacts
 
 	states map[tpal.Label]*branchState
 	queue  []tpal.Label
@@ -744,13 +615,11 @@ type walker struct {
 	sawOtherFork    bool
 }
 
-func newWalker(p *tpal.Program, ix *regIndex, facts *ptrFacts, rf *recFacts, lf *labFacts) *walker {
+func newWalker(p *tpal.Program, ix *regIndex, facts *flowFacts) *walker {
 	return &walker{
 		p:      p,
 		ix:     ix,
 		facts:  facts,
-		rf:     rf,
-		lf:     lf,
 		states: make(map[tpal.Label]*branchState),
 		queued: make(map[tpal.Label]bool),
 		work:   newBranchState(ix),
@@ -825,7 +694,7 @@ func (w *walker) emitTarget(o tpal.Operand, st *branchState) {
 	case tpal.OperReg:
 		ls := st.regs[w.ix.of(o.Reg)].labs
 		if ls.top() {
-			for _, l := range w.lf.addrTaken {
+			for _, l := range w.facts.addrTaken {
 				w.seed(l, st)
 			}
 			return
@@ -870,7 +739,7 @@ func (w *walker) emitJoin(b *tpal.Block, st *branchState) {
 	r := st.regs[w.ix.of(b.Term.Val.Reg)]
 	conts := r.recs
 	if conts.top() {
-		conts = w.rf.all
+		conts = w.facts.conts
 	}
 	pair := r.pair
 	for _, c := range conts.elems() {
@@ -994,17 +863,17 @@ func (w *walker) replay(b *tpal.Block, start int, st *branchState) {
 		case tpal.ILoad:
 			w.record(b, i, accRead, in.Off, true, st.mayPost, get(in.Src))
 			loaded := provNone()
-			if w.facts.escaped {
+			if w.facts.ptrEsc {
 				loaded = provTop()
 			}
 			d := setPtr(in.Dst, loaded)
-			if w.rf.escaped {
+			if w.facts.recEsc {
 				d.recs = lTop()
 				// A record loaded after some record escaped may be the
 				// fork's own.
 				d.pair = pairMay
 			}
-			if w.lf.escaped {
+			if w.facts.labEsc {
 				d.labs = lTop()
 			}
 

@@ -126,7 +126,7 @@ func Analyze(p *tpal.Program, opts Options) *Report {
 	// Phase 6 (opt-in): the static interference pass, fork-by-fork over
 	// the same sharpened edge set.
 	if opts.Races {
-		r.Diags = append(r.Diags, racePass(p, ix, sharp, reached, opts.EntryRegs)...)
+		r.Diags = append(r.Diags, racePass(p, g, ix, sharp, reached, opts.EntryRegs)...)
 	}
 
 	sortDiags(p, r.Diags)
