@@ -103,7 +103,7 @@ fuzz:
 # (gitignored); the floor is a ratchet — raise it when coverage grows,
 # never lower it to admit a regression.
 COVER_PKG   = ./internal/tpal/analysis ./internal/tpal/machine/compile ./internal/tpal/machine
-COVER_FLOOR = 80.0
+COVER_FLOOR = 89.0
 
 cover:
 	$(GO) test -coverprofile=cover.out $(COVER_PKG)

@@ -220,7 +220,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		st := res.Stats
 		fmt.Fprintf(stdout, "steps=%d work=%d span=%d parallelism=%.2f forks=%d joins=%d handlers=%d records=%d tasks=%d maxLive=%d\n",
 			st.Steps, st.Work, st.Span,
-			float64(st.Work)/float64(max64(st.Span, 1)),
+			float64(st.Work)/float64(max(st.Span, 1)),
 			st.Forks, st.Joins, st.HandlerRuns, st.JoinRecords, st.TasksCreated, st.MaxLiveTasks)
 	}
 	return exitOK
@@ -264,11 +264,4 @@ func entryRegNames(spec string) []tpal.Reg {
 		}
 	}
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"strconv"
+
 	"tpal/internal/heartbeat"
 	"tpal/internal/vtime"
 )
@@ -45,30 +47,8 @@ func vtimeExp(s *Session) {
 			ratio = simT / boundT
 		}
 		t.addRow(b.Name(),
-			itoa64(int64(dag.Tasks())),
+			strconv.Itoa(dag.Tasks()),
 			f1(spBound), f1(spSim), f2(ratio))
 	}
 	s.printf("%s\nSimulated greedy schedule of the recorded promotion DAG on %d virtual\ncores versus the analytic bound; sim/bound <= 1 always, and near 1 means\nthe projection used by figs. 7/11/14 is tight.\n\n", t.render(), p)
-}
-
-func itoa64(n int64) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [24]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -3,14 +3,9 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
-
-func sortSlice(ev []Event, less func(a, b Event) bool) {
-	sort.Slice(ev, func(i, j int) bool { return less(ev[i], ev[j]) })
-}
 
 // LaneSummary aggregates one worker lane of a drained trace.
 type LaneSummary struct {

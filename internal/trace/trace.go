@@ -29,8 +29,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -307,16 +309,12 @@ func (t *Tracer) Drain() *Trace {
 	return tr
 }
 
-// sortEvents orders by timestamp, breaking ties by lane so the merge
-// is deterministic for equal stamps.
+// sortEvents orders by timestamp, breaking ties by lane. Each lane
+// arrives in recording order, and the sort is stable, so events of one
+// lane with equal stamps keep that order. Event counts are ring-bounded,
+// so the O(n log n) here is off the hot path by construction.
 func sortEvents(ev []Event) {
-	// Lanes are individually ordered already; a simple merge via sort
-	// keeps the code obvious. Event counts are ring-bounded, so the
-	// O(n log n) here is off the hot path by construction.
-	sortSlice(ev, func(a, b Event) bool {
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		return a.Worker < b.Worker
+	slices.SortStableFunc(ev, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.Worker, b.Worker))
 	})
 }

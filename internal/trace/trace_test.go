@@ -204,3 +204,23 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 		t.Fatalf("phase mix wrong: %v", phases)
 	}
 }
+
+// TestDrainKeepsLaneOrderOnEqualStamps: a clock coarser than the
+// recording rate stamps runs of events alike. Drain must still hand
+// back each lane's events in the order they were recorded.
+func TestDrainKeepsLaneOrderOnEqualStamps(t *testing.T) {
+	const perLane = 500
+	tr := New(2, perLane)
+	for w, r := range tr.rings {
+		for i := int64(0); i < perLane; i++ {
+			r.record(i/100, int32(w), EvTaskStart, i, 0)
+		}
+	}
+	last := []int64{-1, -1}
+	for _, e := range tr.Drain().Events {
+		if e.A <= last[e.Worker] {
+			t.Fatalf("lane %d: event %d drained after event %d", e.Worker, e.A, last[e.Worker])
+		}
+		last[e.Worker] = e.A
+	}
+}
