@@ -134,8 +134,9 @@ func computeFlowFacts(p *tpal.Program, g *CFG, entry []tpal.Reg) *flowFacts {
 				case tpal.IMove:
 					add(in.Dst, operand(in.Val))
 				case tpal.IBinOp:
-					// Pointer arithmetic keeps the pointer, records never
-					// survive an operator, and comparisons yield 0/1.
+					// The result keeps its operands' pointers (comparisons
+					// included: this channel stays coarse there), never a
+					// record, and their labels unless it is a comparison's 0/1.
 					v := f.regs[in.Src]
 					v.union(operand(in.Val))
 					v.recs = lset{}
