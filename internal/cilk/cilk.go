@@ -33,6 +33,10 @@ type Config struct {
 	// simulated machine's core count when projecting runs measured on
 	// fewer real cores.
 	HeuristicWorkers int
+
+	// clock, when set, is the clock task spans are measured on instead
+	// of the wall clock.
+	clock sched.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -94,7 +98,7 @@ type Ctx struct {
 // now on w.
 func newCtx(w *sched.Worker, rt *RT, base int64) *Ctx {
 	c := &Ctx{w: w, rt: rt}
-	c.span.Begin(base)
+	c.span.Begin(base, rt.cfg.clock)
 	return c
 }
 

@@ -70,41 +70,39 @@ func TestSpawn2CallFib(t *testing.T) {
 	}
 }
 
-// leafSink keeps busyFibCall's counted work observable.
-var leafSink atomic.Uint64
+// leafUnits is the clock of TestSpawn2CallSpanForks: it ticks once per
+// leaf leafFibCall reaches and at nothing else.
+var leafUnits atomic.Int64
 
-// busyFibCall is fibCall with a counted ~0.2 ms of work at every leaf,
-// so that its work and span are sums of stamps a clock read cannot
-// blur.
-func busyFibCall(c *Ctx, a fibArgs) {
+// leafFibCall is fibCall with one unit of work on leafUnits at every
+// leaf, so that its work and span count leaves.
+func leafFibCall(c *Ctx, a fibArgs) {
 	if a.n < 2 {
-		x := uint64(a.n)
-		for k := 0; k < 150_000; k++ {
-			x = x*6364136223846793005 + 1442695040888963407
-		}
-		leafSink.Add(x)
+		leafUnits.Add(1)
 		*a.out = int64(a.n)
 		return
 	}
 	var x, y int64
-	Spawn2Call(c, busyFibCall, fibArgs{a.n - 1, &x}, fibArgs{a.n - 2, &y})
+	Spawn2Call(c, leafFibCall, fibArgs{a.n - 1, &x}, fibArgs{a.n - 2, &y})
 	*a.out = x + y
 }
 
 // TestSpawn2CallSpanForks is TestWorkSpanProjection for the recursive
 // spawn path: on one worker every branch runs inline, and the span must
-// still fork at each Spawn2Call. fib(13) has 377 leaves (~75 ms of work)
-// on a critical path of 13 spawns and one leaf; span·4 exceeds work only
-// if the timeline failed to fork or one leaf stalled for a quarter of
-// the run.
+// still fork at each Spawn2Call. Spans are measured on leafUnits, so
+// fib(13)'s work is its 377 leaves, whatever else the machine running
+// the test is doing, on a critical path of 13 spawns and one leaf;
+// span·4 exceeds work only if the timeline failed to fork.
 func TestSpawn2CallSpanForks(t *testing.T) {
 	var got int64
-	st := Run(Config{Workers: 1}, func(c *Ctx) { busyFibCall(c, fibArgs{13, &got}) })
+	leafUnits.Store(0)
+	cfg := Config{Workers: 1, clock: leafUnits.Load}
+	st := Run(cfg, func(c *Ctx) { leafFibCall(c, fibArgs{13, &got}) })
 	if got != 233 {
 		t.Fatalf("fib(13) = %d", got)
 	}
-	if st.WorkNanos <= 0 || st.SpanNanos <= 0 {
-		t.Fatalf("work=%d span=%d", st.WorkNanos, st.SpanNanos)
+	if st.WorkNanos != 377 || st.SpanNanos <= 0 {
+		t.Fatalf("work=%d span=%d, want work 377 leaves", st.WorkNanos, st.SpanNanos)
 	}
 	if st.SpanNanos*4 > st.WorkNanos {
 		t.Fatalf("span %d not well below work %d for fib(13)", st.SpanNanos, st.WorkNanos)

@@ -58,7 +58,7 @@ func newCtx(w *sched.Worker, rt *RT, base int64, recID int) *Ctx {
 		c = &Ctx{}
 	}
 	c.w, c.rt, c.recID = w, rt, recID
-	c.span.Begin(base)
+	c.span.Begin(base, nil)
 	return c
 }
 

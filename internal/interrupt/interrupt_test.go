@@ -33,13 +33,6 @@ func drainPolls(w *sched.Worker, d time.Duration) (beats int64, polling time.Dur
 	return beats, polling
 }
 
-// spinDelay busy-waits for d, standing in for the work between polls.
-func spinDelay(d time.Duration) {
-	start := time.Now()
-	for time.Since(start) < d {
-	}
-}
-
 func TestNoneNeverFires(t *testing.T) {
 	p := sched.NewPool(1)
 	m := None{}
@@ -171,27 +164,31 @@ func TestVirtualBeatsCoalesce(t *testing.T) {
 // skip; when the polls then come 10µs apart, the skip already armed may
 // run out at that pace once (at most maxPollSkip polls), and the clock
 // reads after it must cut the skip to nothing, so that every later beat
-// is seen at the poll after its deadline.
+// is seen at the poll after its deadline. The mechanism reads a fake
+// clock that the poll loop advances by the work between two polls, so
+// the pace is exact however busy the machine running the test is.
 func TestVirtualSkipAdaptsDown(t *testing.T) {
 	p := sched.NewPool(1)
 	w := p.Workers()[0]
 	m := NewVirtual(Profile{Name: "precise"})
+	var now time.Duration
+	m.(*virtualMech).clock = func() time.Duration { return now }
 	const period = 50 * time.Microsecond
 	m.Start(p.Workers(), period)
 	defer m.Stop()
 	st := m.(*virtualMech).states[0]
 
-	for deadline := time.Now().Add(5 * time.Millisecond); time.Now().Before(deadline); {
-		for i := 0; i < 1000; i++ {
-			w.PollHeartbeat()
-		}
+	// Flat out: one poll every 2ns for 5ms.
+	for now < 5*time.Millisecond {
+		now += 2 * time.Nanosecond
+		w.PollHeartbeat()
 	}
 	if st.skip < 7 {
 		t.Fatalf("dense polling left the skip at %d", st.skip)
 	}
 
 	sparsePoll := func() bool {
-		spinDelay(10 * time.Microsecond)
+		now += 10 * time.Microsecond
 		return w.PollHeartbeat()
 	}
 	polls := 1

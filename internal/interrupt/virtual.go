@@ -36,6 +36,17 @@ type virtualMech struct {
 	started time.Time
 	elapsed time.Duration
 	stopped atomic.Bool
+	// clock, when set, replaces the monotonic clock as the time since
+	// Start, so a test can drive the mechanism from a fake clock.
+	clock func() time.Duration
+}
+
+// now reads the mechanism's clock: the time since Start.
+func (m *virtualMech) now() time.Duration {
+	if m.clock != nil {
+		return m.clock()
+	}
+	return time.Since(m.started)
 }
 
 // NewVirtual creates a virtual-clock mechanism from a profile.
@@ -85,7 +96,7 @@ func (m *virtualMech) Stop() {
 	if m.stopped.Swap(true) {
 		return
 	}
-	m.elapsed = time.Since(m.started)
+	m.elapsed = m.now()
 	for _, w := range m.workers {
 		w.SetBeatSource(nil)
 	}
@@ -136,7 +147,7 @@ const (
 // returned, not paid here: the worker pays it, so the accounting is the
 // same for every mechanism.
 func (s *vstate) Poll(w *sched.Worker) (bool, int64) {
-	now := time.Since(s.mech.started).Nanoseconds()
+	now := s.mech.now().Nanoseconds()
 	switch gap := now - s.lastRead; {
 	case gap < denseReadGap:
 		if s.skip = 2*s.skip + 1; s.skip > maxPollSkip {

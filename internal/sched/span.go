@@ -11,20 +11,37 @@ import (
 // of the tasks it joined. Clock reads happen only at task boundaries,
 // spawns and joins, never on a serial path. Owner-goroutine only.
 type Span struct {
-	start  time.Time
+	clock  Clock
+	start  int64
 	base   int64 // span at task creation, ns
 	helped int64 // wall time spent inside join waits (helping or idle)
 	floor  int64 // span floor raised by joined children
 }
 
-// Begin starts the span of a task created at span base.
-func (s *Span) Begin(base int64) {
-	*s = Span{start: time.Now(), base: base}
+// Clock reads the time a Span measures, in nanoseconds from any fixed
+// origin. A nil Clock is the monotonic wall clock.
+type Clock func() int64
+
+// epoch is the wall clock's origin.
+var epoch = time.Now()
+
+// Begin starts the span of a task created at span base, measured on
+// clock.
+func (s *Span) Begin(base int64, clock Clock) {
+	*s = Span{clock: clock, base: base}
+	s.start = s.read()
+}
+
+func (s *Span) read() int64 {
+	if s.clock != nil {
+		return s.clock()
+	}
+	return time.Since(epoch).Nanoseconds()
 }
 
 // Self is the task's self time so far.
 func (s *Span) Self() int64 {
-	return time.Since(s.start).Nanoseconds() - s.helped
+	return s.read() - s.start - s.helped
 }
 
 // Now is the span of the critical path through the task, as of now.
@@ -65,9 +82,9 @@ func (j *Join) Done(span int64) {
 // worker helps with other work until they are done (WaitJoin), then
 // folds their span into s. The whole wait is non-self time.
 func (w *Worker) Wait(s *Span, j *Join) {
-	t0 := time.Now()
+	t0 := s.read()
 	w.WaitJoin(&j.pending)
-	s.helped += time.Since(t0).Nanoseconds()
+	s.helped += s.read() - t0
 	s.floor = max(s.floor, j.spanMax.Load())
 }
 

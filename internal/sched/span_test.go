@@ -17,7 +17,7 @@ func TestJoinDoneKeepsMaxSpan(t *testing.T) {
 	var retired atomic.Int64
 	var largest int64
 	NewPool(1).Run(func(w *Worker) {
-		s.Begin(0)
+		s.Begin(0, nil)
 		j.Add(n)
 		for i := range n {
 			span := int64((i*5)%n+1) * int64(time.Hour)
@@ -51,7 +51,7 @@ func TestSpanRebaseClampsFloor(t *testing.T) {
 	var s Span
 	var before, after int64
 	NewPool(1).Run(func(w *Worker) {
-		s.Begin(0)
+		s.Begin(0, nil)
 		var j Join
 		j.Add(1)
 		j.Done(floor)
@@ -76,7 +76,7 @@ func TestFinishRecordsSelfWork(t *testing.T) {
 	var self, span int64
 	p.Run(func(w *Worker) {
 		var s Span
-		s.Begin(0)
+		s.Begin(0, nil)
 		spinFor(int64(time.Millisecond))
 		self, span = w.Finish(&s)
 	})

@@ -1,11 +1,13 @@
 package analysis_test
 
 import (
+	"errors"
 	"testing"
 
 	"tpal/internal/tpal"
 	"tpal/internal/tpal/analysis"
 	"tpal/internal/tpal/asm"
+	"tpal/internal/tpal/machine"
 	"tpal/internal/tpal/programs"
 )
 
@@ -492,6 +494,131 @@ func TestSeededRaces(t *testing.T) {
 				}
 			}
 			if len(tc.want) == 0 && len(diags) != 0 {
+				t.Errorf("want race-free, got %v", diags)
+			}
+		})
+	}
+}
+
+// Race-free: k is a comparison of the entry register n before it is
+// reassigned the child's work label, so the child's indirect jump
+// through k can only reach cwork. Entry registers may hold any label,
+// but a comparison yields 0 or 1, never one of its operands' labels;
+// if the flow facts let k inherit n's labels, the jump would also
+// reach pwork and the two writes of cell 0 would look parallel.
+const raceFreeComparisonLabel = `
+program racefree-cmplabel entry main
+
+block main [.] {
+  sp := snew
+  salloc sp, 2
+  k := n < 2
+  k := cwork
+  p := pwork
+  jr := jralloc after
+  fork jr, body
+  jump p
+}
+
+block pwork [.] {
+  mem[sp + 0] := 1
+  join jr
+}
+
+block body [.] {
+  jump k
+}
+
+block cwork [.] {
+  mem[sp + 1] := 2
+  join jr
+}
+
+block after [jtppt assoc-comm; {}; comb] {
+  halt
+}
+
+block comb [.] {
+  join jr
+}
+`
+
+// The parent joins a record it reloaded from memory: jo escapes to the
+// stack and comes back as jl. jl names the outer record, not the
+// fork's, so the parent's join is a [join-continue] into other, whose
+// write of cell 0 is parallel with the child's. The pass sees the
+// write only if a load after a record escaped may yield any record.
+const racyReloadedRecord = `
+program racy-reloaded entry main
+
+block main [.] {
+  sp := snew
+  salloc sp, 2
+  jo := jralloc other
+  mem[sp + 1] := jo
+  jl := mem[sp + 1]
+  jr := jralloc after
+  fork jr, body
+  join jl
+}
+
+block body [.] {
+  mem[sp + 0] := 2
+  join jr
+}
+
+block other [jtppt assoc-comm; {}; comb2] {
+  mem[sp + 0] := 1
+  join jr
+}
+
+block comb2 [.] {
+  join jo
+}
+
+block after [jtppt assoc-comm; {}; comb] {
+  halt
+}
+
+block comb [.] {
+  join jr
+}
+`
+
+// TestValueFlowRules pins two rules of the flow-insensitive value
+// facts the branch walks start from, each against the dynamic
+// sanitizer's verdict on the same program: a comparison result carries
+// no label (precision: the race-free program stays clean), and a load
+// after a record escaped may yield any record (soundness: the race
+// behind a join on a reloaded record is reported).
+func TestValueFlowRules(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		src   string
+		entry []tpal.Reg
+		racy  bool
+	}{
+		{"comparison-drops-labels", raceFreeComparisonLabel, []tpal.Reg{"n"}, false},
+		{"load-after-record-escape", racyReloadedRecord, nil, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			regs := make(machine.RegFile)
+			for _, r := range c.entry {
+				regs[r] = machine.IntV(5)
+			}
+			_, err := machine.Run(mustParse(t, c.src), machine.Config{Regs: regs, RaceDetect: true, SkipVerify: true})
+			var re *machine.RaceError
+			if dyn := errors.As(err, &re); dyn != c.racy {
+				t.Fatalf("dynamic race = %v (err %v), want %v", dyn, err, c.racy)
+			}
+			if !c.racy && err != nil {
+				t.Fatal(err)
+			}
+			diags := raceDiags(t, c.src, c.entry...)
+			if c.racy && len(diags) == 0 {
+				t.Errorf("race the sanitizer finds is not reported statically")
+			}
+			if !c.racy && len(diags) != 0 {
 				t.Errorf("want race-free, got %v", diags)
 			}
 		})

@@ -2,9 +2,9 @@ package machine_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
-	"tpal/internal/minipar"
 	"tpal/internal/tpal"
 	"tpal/internal/tpal/machine"
 	"tpal/internal/tpal/machine/compile"
@@ -33,21 +33,16 @@ return total
 //	fanout     — fib only, hb=2 under Lockstep: every promotion point
 //	             forks, so rounds run hundreds of live tasks (peak 466)
 //	             and the cost of the schedule loop itself — retiring a
-//	             task mid-round, snapshotting the round — is on the hot
+//	             task mid-round, compacting the task list — is on the hot
 //	             path (hb=1 livelocks fib, so 2 is the widest that halts)
 //
 // Each sub-benchmark reports ns/step (amortized per machine
 // transition) so the interp/compiled columns are directly comparable.
 // Both columns run the same engine; the difference is dispatch alone.
+// Modes that fork also report allocs/fork, heap allocations per fork
+// over the whole run (TestForkAllocs pins it for two kernels).
 func BenchmarkDispatch(b *testing.B) {
-	mp, err := minipar.Parse(plusReduceMP)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plusReduce, err := minipar.Compile(mp)
-	if err != nil {
-		b.Fatal(err)
-	}
+	plusReduce := compileMP(b, plusReduceMP)
 	cases := []struct {
 		name string
 		prog *tpal.Program
@@ -95,16 +90,25 @@ func BenchmarkDispatch(b *testing.B) {
 			}
 			for _, backend := range []string{"interp", "compiled"} {
 				b.Run(fmt.Sprintf("%s/%s/%s", c.name, m.name, backend), func(b *testing.B) {
-					var steps int64
+					var steps, forks int64
+					var m0, m1 runtime.MemStats
 					b.ReportAllocs()
+					runtime.ReadMemStats(&m0)
+					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						st, err := run(backend == "compiled")
 						if err != nil {
 							b.Fatal(err)
 						}
 						steps += st.Steps
+						forks += st.Forks
 					}
+					b.StopTimer()
+					runtime.ReadMemStats(&m1)
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+					if forks > 0 {
+						b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(forks), "allocs/fork")
+					}
 				})
 			}
 		}

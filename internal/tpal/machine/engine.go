@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"tpal/internal/tpal"
 )
@@ -254,16 +255,15 @@ func (c *Code) Block(l tpal.Label) *Block { return c.blocks[l] }
 // RegFile — a register explicitly set to nil is present in the final
 // file, an untouched one is absent.
 type Task struct {
-	id      int
-	block   *Block
-	off     int // index into block.ops; the last addresses the terminator
-	cycles  int64
-	regs    []Value
-	written []bool
-	edge    *joinEdge
-	side    side
-	gone    bool  // retired from the schedule (removeTask)
-	span    int64 // cost-semantics span accumulated along this task's path
+	id     int
+	block  *Block
+	off    int // index into block.ops; the last addresses the terminator
+	cycles int64
+	regFile
+	edge *joinEdge
+	side side
+	gone bool  // retired from the schedule (removeTask)
+	span int64 // cost-semantics span accumulated along this task's path
 	// sincePrppt counts machine steps since the task's last promotion
 	// event (prppt-head arrival, fork, pair-completing join, or birth);
 	// it feeds Stats.MaxPromotionGap.
@@ -303,8 +303,11 @@ type Engine struct {
 	code *Code
 	cfg  Config
 
+	// tasks is the runnable set in creation order. Under Lockstep it
+	// also holds the tombstones of tasks retired this round, dropped by
+	// compact at the next round's start; live counts the rest.
 	tasks    []*Task
-	round    []*Task // reusable Lockstep round snapshot
+	live     int
 	nextTask int
 	nextJoin int
 	rng      *rand.Rand
@@ -313,6 +316,9 @@ type Engine struct {
 	halted bool
 	final  *Task
 	stats  Stats
+	// free holds the register files of children merged away by
+	// pair-completing joins, for Fork to reuse.
+	free []regFile
 	// extras holds entry registers the program text never names: they
 	// have no slot, are immutable during the run (no slot means no
 	// instruction can touch them), and merge into the final register
@@ -336,8 +342,7 @@ func (c *Code) Run(cfg Config) (Result, error) {
 	}
 	root := &Task{
 		block:   c.entry,
-		regs:    make([]Value, len(c.regs)),
-		written: make([]bool, len(c.regs)),
+		regFile: regFile{make([]Value, len(c.regs)), make([]bool, len(c.regs))},
 	}
 	for r, v := range cfg.Regs {
 		if s, ok := c.regIdx[r]; ok {
@@ -363,22 +368,24 @@ func (c *Code) Run(cfg Config) (Result, error) {
 // run drives the engine until halt, deadlock-free completion of all
 // tasks, or an error.
 func (e *Engine) run() (Result, error) {
-	for !e.halted && len(e.tasks) > 0 {
+	for !e.halted && e.live > 0 {
 		if err := e.checkBudget(); err != nil {
 			return Result{}, err
 		}
 		var err error
 		switch e.cfg.Schedule {
 		case Lockstep:
-			// Snapshot the runnable set: tasks forked this round run
-			// starting next round, and tasks that retire mid-round are
-			// skipped via their tombstone.
-			round := append(e.round[:0], e.tasks...)
-			e.round = round
-			for i, t := range round {
+			// The round is the tasks live at its start: tasks forked
+			// this round are appended past n and run starting next
+			// round, and tasks that retire mid-round are skipped via
+			// their tombstone.
+			e.compact()
+			n := len(e.tasks)
+			for i := 0; i < n; i++ {
 				if e.halted {
 					break
 				}
+				t := e.tasks[i]
 				if t.gone {
 					continue
 				}
@@ -529,21 +536,69 @@ func (e *Engine) noteGap(t *Task) {
 
 func (e *Engine) addTask(t *Task) {
 	e.tasks = append(e.tasks, t)
-	if len(e.tasks) > e.stats.MaxLiveTasks {
-		e.stats.MaxLiveTasks = len(e.tasks)
+	e.live++
+	if e.live > e.stats.MaxLiveTasks {
+		e.stats.MaxLiveTasks = e.live
 	}
 }
 
-// removeTask retires t from the schedule. The tombstone lets a Lockstep
-// round skip it in O(1) instead of searching the task list.
+// removeTask retires t from the schedule. Under Lockstep it only leaves
+// a tombstone, which the current round skips and the next round's
+// compact drops. RandomOrder draws an index below len(tasks) and
+// DepthFirst steps the last task, so both need the list exact and
+// remove t at once; t is the task just stepped, which under DepthFirst
+// is at or near the end, so the scan starts there.
 func (e *Engine) removeTask(t *Task) {
 	t.gone = true
-	for i, u := range e.tasks {
-		if u == t {
-			e.tasks = append(e.tasks[:i], e.tasks[i+1:]...)
+	e.live--
+	if e.cfg.Schedule == Lockstep {
+		return
+	}
+	for i := len(e.tasks) - 1; i >= 0; i-- {
+		if e.tasks[i] == t {
+			e.tasks = slices.Delete(e.tasks, i, i+1)
 			return
 		}
 	}
+}
+
+// compact drops the tombstones of retired tasks from the task list,
+// keeping the live tasks in order, so the list reads as if every
+// retirement had removed its task at once.
+func (e *Engine) compact() {
+	if e.live == len(e.tasks) {
+		return
+	}
+	kept := e.tasks[:0]
+	for _, t := range e.tasks {
+		if !t.gone {
+			kept = append(kept, t)
+		}
+	}
+	clear(e.tasks[len(kept):])
+	e.tasks = kept
+}
+
+// regFile is one task's register file: the slot array and its written
+// bitmap, each len(Code.regs) long.
+type regFile struct {
+	regs    []Value
+	written []bool
+}
+
+// cloneRegs returns a copy of t's register file for a new task, made in
+// a freed file when there is one.
+func (e *Engine) cloneRegs(t *Task) regFile {
+	n := len(e.free)
+	if n == 0 {
+		return regFile{append([]Value(nil), t.regs...), append([]bool(nil), t.written...)}
+	}
+	f := e.free[n-1]
+	e.free[n-1] = regFile{}
+	e.free = e.free[:n-1]
+	copy(f.regs, t.regs)
+	copy(f.written, t.written)
+	return f
 }
 
 // JrAlloc implements [jralloc]: a fresh join record, initially closed
@@ -582,8 +637,7 @@ func (e *Engine) Fork(t *Task, rec *JoinRecord, target *Block) error {
 	child := &Task{
 		id:      e.nextTask,
 		block:   target,
-		regs:    append([]Value(nil), t.regs...),
-		written: append([]bool(nil), t.written...),
+		regFile: e.cloneRegs(t),
 		edge:    edge,
 		side:    childSide,
 		span:    base,
@@ -654,17 +708,22 @@ func (e *Engine) Join(t *Task, rec *JoinRecord) error {
 	if t.side == childSide {
 		parent, child = first, t
 	}
-	regs := append([]Value(nil), parent.regs...)
-	written := append([]bool(nil), parent.written...)
+	// MergeR in place: neither side's file is read again after the
+	// merge, so the surviving task takes over the parent's file and the
+	// ΔR-selected child registers are copied into it. The child's file
+	// goes to the free list.
+	cf := child.regFile
+	t.regFile = parent.regFile
 	for _, rn := range cont.renames {
-		regs[rn.to] = child.regs[rn.from]
-		written[rn.to] = true
+		t.regs[rn.to] = cf.regs[rn.from]
+		t.written[rn.to] = true
 	}
+	e.free = append(e.free, cf)
+	first.regFile = regFile{}
 
 	// The surviving task becomes the combining task: it runs the
 	// combining block with the merged register file, resuming the
 	// parent's position in the fork tree.
-	t.regs, t.written = regs, written
 	t.edge = edge.up
 	t.side = edge.upSide
 	if e.race != nil {
