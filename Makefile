@@ -36,10 +36,12 @@ serve-test:
 # under the Go race detector: the pass's own suite (every rewrite
 # re-verified and compared against sequential interpretation across
 # the schedule matrix), the differential oracle over the minipar
-# corpus, the golden CLI verdict tables, and the serve admission path.
+# corpus, the golden CLI verdict tables, and the serve admission path
+# — including TestAdmissionGolden, whose autopar rows (transform off
+# and on) pin what a submission sees of the pass.
 autopar-test:
 	$(GO) test -race ./internal/minipar ./internal/minipar/autopar ./cmd/minipar
-	$(GO) test -race ./internal/serve -run AutoParallelize
+	$(GO) test -race ./internal/serve -run 'AutoParallelize|TestAdmissionGolden'
 	$(GO) test -race ./cmd/tpal-lint -run Autopar
 
 # compile-test runs the engine and both of its lowerings under the Go

@@ -9,60 +9,66 @@ func cloneProgram(p *minipar.Program) *minipar.Program {
 	q := &minipar.Program{
 		Params: append([]string{}, p.Params...),
 		Funcs:  append([]minipar.FuncDecl{}, p.Funcs...),
-		Body:   cloneStmts(p.Body, nil),
+		Body:   cloneStmts(p.Body, nil, nil),
 	}
 	return q
 }
 
-// cloneStmts deep-copies a statement list, optionally renaming variable
-// *reads* (VarRef nodes) via ren. The loop rewrite uses the rename to
-// substitute a fresh parfor index for the while's induction variable;
-// candidate screening guarantees the variable is never written, shadowed,
-// or used as a reduce accumulator inside the region, so renaming reads is
-// a complete substitution.
-func cloneStmts(ss []minipar.Stmt, ren map[string]string) []minipar.Stmt {
+// cloneStmts is the one rebuilding walk over statement lists: it
+// deep-copies ss, optionally renaming variable *reads* (VarRef nodes)
+// via ren, and when edit is non-nil passes every copied statement
+// through it once its own expressions and bodies are rebuilt. The loop
+// rewrite uses the rename to substitute a fresh parfor index for the
+// while's induction variable; candidate screening guarantees the
+// variable is never written, shadowed, or used as a reduce accumulator
+// inside the region, so renaming reads is a complete substitution. The
+// accumulator normalization is the edit.
+func cloneStmts(ss []minipar.Stmt, ren map[string]string, edit func(minipar.Stmt) minipar.Stmt) []minipar.Stmt {
 	out := make([]minipar.Stmt, 0, len(ss))
 	for _, s := range ss {
-		out = append(out, cloneStmt(s, ren))
+		s = cloneStmt(s, ren, edit)
+		if edit != nil {
+			s = edit(s)
+		}
+		out = append(out, s)
 	}
 	return out
 }
 
-func cloneStmt(s minipar.Stmt, ren map[string]string) minipar.Stmt {
+func cloneStmt(s minipar.Stmt, ren map[string]string, edit func(minipar.Stmt) minipar.Stmt) minipar.Stmt {
+	ex := func(e minipar.Expr) minipar.Expr { return cloneExpr(e, ren) }
+	body := func(ss []minipar.Stmt) []minipar.Stmt { return cloneStmts(ss, ren, edit) }
 	switch st := s.(type) {
 	case minipar.VarDecl:
-		st.Init = cloneExpr(st.Init, ren)
+		st.Init = ex(st.Init)
 		return st
 	case minipar.Assign:
-		st.Expr = cloneExpr(st.Expr, ren)
+		st.Expr = ex(st.Expr)
 		return st
 	case minipar.If:
-		st.Cond = cloneExpr(st.Cond, ren)
-		st.Then = cloneStmts(st.Then, ren)
-		st.Else = cloneStmts(st.Else, ren)
+		st.Cond = ex(st.Cond)
+		st.Then, st.Else = body(st.Then), body(st.Else)
 		return st
 	case minipar.While:
-		st.Cond = cloneExpr(st.Cond, ren)
-		st.Body = cloneStmts(st.Body, ren)
+		st.Cond = ex(st.Cond)
+		st.Body = body(st.Body)
 		return st
 	case minipar.ParFor:
-		st.Lo = cloneExpr(st.Lo, ren)
-		st.Hi = cloneExpr(st.Hi, ren)
+		st.Lo, st.Hi = ex(st.Lo), ex(st.Hi)
 		if st.Reduce != nil {
 			rc := *st.Reduce
 			st.Reduce = &rc
 		}
-		st.Body = cloneStmts(st.Body, ren)
+		st.Body = body(st.Body)
 		return st
 	case minipar.Par:
-		st.A = cloneStmts(st.A, ren)
-		st.B = cloneStmts(st.B, ren)
+		st.A, st.B = body(st.A), body(st.B)
 		return st
 	case minipar.Return:
-		st.Expr = cloneExpr(st.Expr, ren)
+		st.Expr = ex(st.Expr)
 		return st
 	case minipar.Call:
-		st.Arg = cloneExpr(st.Arg, ren)
+		st.Arg = ex(st.Arg)
 		return st
 	}
 	return s
@@ -83,29 +89,6 @@ func cloneExpr(e minipar.Expr, ren map[string]string) minipar.Expr {
 	return e
 }
 
-// stmtPos extracts a statement's source position.
-func stmtPos(s minipar.Stmt) minipar.Pos {
-	switch st := s.(type) {
-	case minipar.VarDecl:
-		return st.Pos
-	case minipar.Assign:
-		return st.Pos
-	case minipar.If:
-		return st.Pos
-	case minipar.While:
-		return st.Pos
-	case minipar.ParFor:
-		return st.Pos
-	case minipar.Par:
-		return st.Pos
-	case minipar.Return:
-		return st.Pos
-	case minipar.Call:
-		return st.Pos
-	}
-	return minipar.Pos{}
-}
-
 // collectNames gathers every identifier the program mentions, so fresh
 // index variables never collide with anything.
 func collectNames(p *minipar.Program) map[string]bool {
@@ -119,54 +102,13 @@ func collectNames(p *minipar.Program) map[string]bool {
 		names[fd.AName] = true
 		names[fd.BName] = true
 	}
-	var exprNames func(minipar.Expr)
-	exprNames = func(e minipar.Expr) {
-		switch ex := e.(type) {
-		case minipar.VarRef:
-			names[ex.Name] = true
-		case minipar.Binary:
-			exprNames(ex.L)
-			exprNames(ex.R)
+	minipar.Inspect(p.Body, func(s minipar.Stmt, sh minipar.Shape) bool {
+		if c, ok := s.(minipar.Call); ok {
+			names[c.Func] = true
 		}
-	}
-	var walk func([]minipar.Stmt)
-	walk = func(ss []minipar.Stmt) {
-		for _, s := range ss {
-			switch st := s.(type) {
-			case minipar.VarDecl:
-				names[st.Name] = true
-				exprNames(st.Init)
-			case minipar.Assign:
-				names[st.Name] = true
-				exprNames(st.Expr)
-			case minipar.If:
-				exprNames(st.Cond)
-				walk(st.Then)
-				walk(st.Else)
-			case minipar.While:
-				exprNames(st.Cond)
-				walk(st.Body)
-			case minipar.ParFor:
-				names[st.Var] = true
-				exprNames(st.Lo)
-				exprNames(st.Hi)
-				if st.Reduce != nil {
-					names[st.Reduce.Acc] = true
-				}
-				walk(st.Body)
-			case minipar.Par:
-				walk(st.A)
-				walk(st.B)
-			case minipar.Return:
-				exprNames(st.Expr)
-			case minipar.Call:
-				names[st.Dst] = true
-				names[st.Func] = true
-				exprNames(st.Arg)
-			}
-		}
-	}
-	walk(p.Body)
+		mentions(sh, func(name string) { names[name] = true })
+		return true
+	})
 	return names
 }
 
@@ -176,67 +118,27 @@ func collectNames(p *minipar.Program) map[string]bool {
 // uses it conservatively.
 func occursIn(ss []minipar.Stmt, name string) bool {
 	found := false
-	var exprHas func(minipar.Expr)
-	exprHas = func(e minipar.Expr) {
-		switch ex := e.(type) {
-		case minipar.VarRef:
-			if ex.Name == name {
-				found = true
-			}
-		case minipar.Binary:
-			exprHas(ex.L)
-			exprHas(ex.R)
+	minipar.Inspect(ss, func(_ minipar.Stmt, sh minipar.Shape) bool {
+		if !found {
+			mentions(sh, func(n string) { found = found || n == name })
 		}
-	}
-	var walk func([]minipar.Stmt)
-	walk = func(ss []minipar.Stmt) {
-		for _, s := range ss {
-			if found {
-				return
-			}
-			switch st := s.(type) {
-			case minipar.VarDecl:
-				if st.Name == name {
-					found = true
-				}
-				exprHas(st.Init)
-			case minipar.Assign:
-				if st.Name == name {
-					found = true
-				}
-				exprHas(st.Expr)
-			case minipar.If:
-				exprHas(st.Cond)
-				walk(st.Then)
-				walk(st.Else)
-			case minipar.While:
-				exprHas(st.Cond)
-				walk(st.Body)
-			case minipar.ParFor:
-				if st.Var == name {
-					found = true
-				}
-				exprHas(st.Lo)
-				exprHas(st.Hi)
-				if st.Reduce != nil && st.Reduce.Acc == name {
-					found = true
-				}
-				walk(st.Body)
-			case minipar.Par:
-				walk(st.A)
-				walk(st.B)
-			case minipar.Return:
-				exprHas(st.Expr)
-			case minipar.Call:
-				if st.Dst == name {
-					found = true
-				}
-				exprHas(st.Arg)
-			}
-		}
-	}
-	walk(ss)
+		return !found
+	})
 	return found
+}
+
+// mentions calls f on every variable name a statement itself mentions:
+// the names it declares or writes and those its own expressions read.
+func mentions(sh minipar.Shape, f func(string)) {
+	for _, n := range sh.Declares {
+		f(n)
+	}
+	for _, n := range sh.Writes {
+		f(n)
+	}
+	for _, e := range sh.Exprs {
+		minipar.ExprVars(e, func(v minipar.VarRef) { f(v.Name) })
+	}
 }
 
 // exprHasDiv reports whether an expression can fault (division or
@@ -247,15 +149,4 @@ func exprHasDiv(e minipar.Expr) bool {
 		return b.Op == minipar.OpDiv || b.Op == minipar.OpMod || exprHasDiv(b.L) || exprHasDiv(b.R)
 	}
 	return false
-}
-
-// exprVars collects variable names an expression reads.
-func exprVars(e minipar.Expr, into map[string]bool) {
-	switch ex := e.(type) {
-	case minipar.VarRef:
-		into[ex.Name] = true
-	case minipar.Binary:
-		exprVars(ex.L, into)
-		exprVars(ex.R, into)
-	}
 }

@@ -215,7 +215,7 @@ func matchInduction(wst minipar.While) (loopMatch, analysis.Code, string) {
 		return m, analysis.CodeAutoNotCounted, fmt.Sprintf("induction variable %q is written outside the induction step", m.v)
 	}
 	hiVars := map[string]bool{}
-	exprVars(m.hi, hiVars)
+	minipar.ExprVars(m.hi, func(v minipar.VarRef) { hiVars[v.Name] = true })
 	if hiVars[m.v] {
 		return m, analysis.CodeAutoNotCounted, fmt.Sprintf("loop bound reads the induction variable %q", m.v)
 	}
@@ -305,50 +305,29 @@ func accumulatorOp(body []minipar.Stmt, acc string) (minipar.BinOp, bool, string
 	var op minipar.BinOp
 	seen := false
 	bad := ""
-	record := func(o minipar.BinOp, pos minipar.Pos) {
-		if bad != "" {
-			return
-		}
+	record := func(o minipar.BinOp) {
 		if seen && o != op {
 			bad = fmt.Sprintf("updates of %q mix operators %s and %s, so no single reduction combines them", acc, op, o)
-			return
 		}
 		op, seen = o, true
 	}
-	var walk func([]minipar.Stmt)
-	walk = func(ss []minipar.Stmt) {
-		for _, s := range ss {
-			if bad != "" {
-				return
-			}
-			switch st := s.(type) {
-			case minipar.Assign:
-				if st.Name != acc {
-					continue
-				}
-				o, shaped := reduceShapedUpdate(st, acc)
-				if !shaped {
-					bad = fmt.Sprintf("the update of %q at %s is not in accumulator shape %s = %s op <expr>", acc, st.Pos, acc, acc)
-					return
-				}
-				record(o, st.Pos)
-			case minipar.If:
-				walk(st.Then)
-				walk(st.Else)
-			case minipar.While:
-				walk(st.Body)
-			case minipar.ParFor:
-				if st.Reduce != nil && st.Reduce.Acc == acc {
-					record(st.Reduce.Op, st.Pos)
-				}
-				walk(st.Body)
-			case minipar.Par:
-				walk(st.A)
-				walk(st.B)
-			}
+	minipar.Inspect(body, func(s minipar.Stmt, _ minipar.Shape) bool {
+		if bad != "" {
+			return false
 		}
-	}
-	walk(body)
+		if a, ok := s.(minipar.Assign); ok && a.Name == acc {
+			o, shaped := reduceShapedUpdate(a, acc)
+			if !shaped {
+				bad = fmt.Sprintf("the update of %q at %s is not in accumulator shape %s = %s op <expr>", acc, a.Pos, acc, acc)
+				return false
+			}
+			record(o)
+		}
+		if pf, ok := s.(minipar.ParFor); ok && pf.Reduce != nil && pf.Reduce.Acc == acc {
+			record(pf.Reduce.Op)
+		}
+		return true
+	})
 	if bad != "" {
 		return 0, false, bad
 	}
@@ -397,32 +376,13 @@ func flattenOp(e minipar.Expr, op minipar.BinOp, out *[]minipar.Expr) {
 // regions that already passed accumulatorOp, so every update flattens
 // cleanly.
 func normalizeAccUpdates(ss []minipar.Stmt, acc string, op minipar.BinOp) []minipar.Stmt {
-	out := make([]minipar.Stmt, 0, len(ss))
-	for _, s := range ss {
-		switch st := s.(type) {
-		case minipar.Assign:
-			if st.Name == acc {
-				st.Expr = normalizeAccExpr(st.Expr, acc, op)
-			}
-			s = st
-		case minipar.If:
-			st.Then = normalizeAccUpdates(st.Then, acc, op)
-			st.Else = normalizeAccUpdates(st.Else, acc, op)
-			s = st
-		case minipar.While:
-			st.Body = normalizeAccUpdates(st.Body, acc, op)
-			s = st
-		case minipar.ParFor:
-			st.Body = normalizeAccUpdates(st.Body, acc, op)
-			s = st
-		case minipar.Par:
-			st.A = normalizeAccUpdates(st.A, acc, op)
-			st.B = normalizeAccUpdates(st.B, acc, op)
-			s = st
+	return cloneStmts(ss, nil, func(s minipar.Stmt) minipar.Stmt {
+		if a, ok := s.(minipar.Assign); ok && a.Name == acc {
+			a.Expr = normalizeAccExpr(a.Expr, acc, op)
+			return a
 		}
-		out = append(out, s)
-	}
-	return out
+		return s
+	})
 }
 
 func normalizeAccExpr(e minipar.Expr, acc string, op minipar.BinOp) minipar.Expr {
@@ -454,9 +414,9 @@ func normalizeAccExpr(e minipar.Expr, acc string, op minipar.BinOp) minipar.Expr
 }
 
 func refersTo(e minipar.Expr, name string) bool {
-	set := map[string]bool{}
-	exprVars(e, set)
-	return set[name]
+	found := false
+	minipar.ExprVars(e, func(v minipar.VarRef) { found = found || v.Name == name })
+	return found
 }
 
 // readOutsideUpdates rejects an accumulator whose running value is
@@ -464,47 +424,17 @@ func refersTo(e minipar.Expr, name string) bool {
 // per-task partial views visible, which no reduction can hide.
 func readOutsideUpdates(body []minipar.Stmt, acc string) string {
 	bad := ""
-	check := func(e minipar.Expr, pos minipar.Pos) {
-		if bad == "" && refersTo(e, acc) {
-			bad = fmt.Sprintf("%q is read at %s outside its own accumulation, so partial sums would be observable", acc, pos)
+	minipar.Inspect(body, func(s minipar.Stmt, sh minipar.Shape) bool {
+		if a, ok := s.(minipar.Assign); ok && a.Name == acc {
+			return true // shape (checked separately) keeps e acc-free
 		}
-	}
-	var walk func([]minipar.Stmt)
-	walk = func(ss []minipar.Stmt) {
-		for _, s := range ss {
-			if bad != "" {
-				return
-			}
-			switch st := s.(type) {
-			case minipar.VarDecl:
-				check(st.Init, st.Pos)
-			case minipar.Assign:
-				if st.Name == acc {
-					continue // shape (checked separately) keeps e acc-free
-				}
-				check(st.Expr, st.Pos)
-			case minipar.If:
-				check(st.Cond, st.Pos)
-				walk(st.Then)
-				walk(st.Else)
-			case minipar.While:
-				check(st.Cond, st.Pos)
-				walk(st.Body)
-			case minipar.ParFor:
-				check(st.Lo, st.Pos)
-				check(st.Hi, st.Pos)
-				walk(st.Body)
-			case minipar.Par:
-				walk(st.A)
-				walk(st.B)
-			case minipar.Return:
-				check(st.Expr, st.Pos)
-			case minipar.Call:
-				check(st.Arg, st.Pos)
+		for _, e := range sh.Exprs {
+			if bad == "" && refersTo(e, acc) {
+				bad = fmt.Sprintf("%q is read at %s outside its own accumulation, so partial sums would be observable", acc, sh.Pos)
 			}
 		}
-	}
-	walk(body)
+		return bad == ""
+	})
 	return bad
 }
 
@@ -587,7 +517,7 @@ func (w *walker) tryLoop(cur []minipar.Stmt, i int, wst minipar.While, rebuild r
 		bound = minipar.Binary{Op: minipar.OpAdd, L: bound, R: minipar.IntLit{Value: 1, Pos: wst.Pos}, Pos: wst.Pos}
 	}
 	fresh := w.fresh(m.v)
-	newBody := cloneStmts(m.body, map[string]string{m.v: fresh})
+	newBody := cloneStmts(m.body, map[string]string{m.v: fresh}, nil)
 	if clause != nil {
 		newBody = normalizeAccUpdates(newBody, clause.Acc, clause.Op)
 	}
@@ -648,27 +578,22 @@ func (w *walker) tryLoop(cur []minipar.Stmt, i int, wst minipar.While, rebuild r
 // summaries are disjoint and forking pays, and certifies the result.
 func (w *walker) tryPair(cur []minipar.Stmt, i int, rebuild rebuildFn) ([]minipar.Stmt, bool) {
 	a, b := cur[i], cur[i+1]
-	v := Verdict{Pos: stmtPos(a), Kind: "pair", Desc: briefStmt(a) + " | " + briefStmt(b)}
+	v := Verdict{Pos: minipar.ShapeOf(a).Pos, Kind: "pair", Desc: briefStmt(a) + " | " + briefStmt(b)}
 	block := func(code analysis.Code, reason string) ([]minipar.Stmt, bool) {
 		v.Code, v.Reason = code, reason
 		w.verdicts = append(w.verdicts, v)
 		return cur, false
 	}
-	ea := minipar.RegionEffects([]minipar.Stmt{a})
-	eb := minipar.RegionEffects([]minipar.Stmt{b})
-	if ea.Calls || eb.Calls {
+	switch conflict, name := minipar.ParIndependence([]minipar.Stmt{a}, []minipar.Stmt{b}); conflict {
+	case minipar.ConflictCall:
 		return block(analysis.CodeAutoUnsupported, "a statement in the pair contains a call, which cannot cross a fork")
-	}
-	if ea.Returns || eb.Returns {
+	case minipar.ConflictReturn:
 		return block(analysis.CodeAutoUnsupported, "a statement in the pair contains a return; which side returns would depend on the schedule")
-	}
-	if name, ok := intersectFirst(ea.Writes, eb.Writes); ok {
+	case minipar.ConflictWriteWrite:
 		return block(analysis.CodeAutoDependent, fmt.Sprintf("both statements write %q", name))
-	}
-	if name, ok := intersectFirst(ea.Writes, eb.Reads); ok {
+	case minipar.ConflictWriteRead:
 		return block(analysis.CodeAutoDependent, fmt.Sprintf("the first statement writes %q, which the second reads", name))
-	}
-	if name, ok := intersectFirst(eb.Writes, ea.Reads); ok {
+	case minipar.ConflictReadWrite:
 		return block(analysis.CodeAutoDependent, fmt.Sprintf("the second statement writes %q, which the first reads", name))
 	}
 	wa := costStmt(a, w.opts.TripAssume)
@@ -683,7 +608,7 @@ func (w *walker) tryPair(cur []minipar.Stmt, i int, rebuild rebuildFn) ([]minipa
 			"the smaller side's estimated work %d is below the spawn-cost threshold %d",
 			smaller, w.opts.SpawnThreshold))
 	}
-	par := minipar.Par{A: []minipar.Stmt{a}, B: []minipar.Stmt{b}, Pos: stmtPos(a)}
+	par := minipar.Par{A: []minipar.Stmt{a}, B: []minipar.Stmt{b}, Pos: v.Pos}
 	trial := splice(cur, i, 2, par)
 	if reason, ok := w.certify(rebuild(trial)); !ok {
 		return block(analysis.CodeAutoNotDisjoint, "rewritten program failed certification: "+reason)
@@ -724,18 +649,6 @@ func briefStmt(s minipar.Stmt) string {
 		return "if " + minipar.FormatExpr(st.Cond)
 	}
 	return "stmt"
-}
-
-// intersectFirst returns the lexicographically first shared name, so
-// verdict tables are deterministic.
-func intersectFirst(a, b map[string]bool) (string, bool) {
-	hit, found := "", false
-	for k := range a {
-		if b[k] && (!found || k < hit) {
-			hit, found = k, true
-		}
-	}
-	return hit, found
 }
 
 // constEnv maps variable names to values proven constant at a program
@@ -815,28 +728,13 @@ func bindOrKill(env constEnv, name string, e minipar.Expr) {
 // killAssigned removes from env every name a statement list might
 // write, recursing through compound bodies.
 func killAssigned(env constEnv, ss []minipar.Stmt) {
-	for _, s := range ss {
-		switch st := s.(type) {
-		case minipar.VarDecl:
-			delete(env, st.Name)
-		case minipar.Assign:
-			delete(env, st.Name)
-		case minipar.Call:
-			delete(env, st.Dst)
-		case minipar.If:
-			killAssigned(env, st.Then)
-			killAssigned(env, st.Else)
-		case minipar.While:
-			killAssigned(env, st.Body)
-		case minipar.ParFor:
-			delete(env, st.Var)
-			if st.Reduce != nil {
-				delete(env, st.Reduce.Acc)
-			}
-			killAssigned(env, st.Body)
-		case minipar.Par:
-			killAssigned(env, st.A)
-			killAssigned(env, st.B)
+	minipar.Inspect(ss, func(_ minipar.Stmt, sh minipar.Shape) bool {
+		for _, n := range sh.Declares {
+			delete(env, n)
 		}
-	}
+		for _, n := range sh.Writes {
+			delete(env, n)
+		}
+		return true
+	})
 }

@@ -1,5 +1,7 @@
 package minipar
 
+import "slices"
+
 // Check performs semantic analysis:
 //
 //   - variables are declared (as params, var, or parfor index) before use
@@ -42,7 +44,13 @@ func Check(p *Program) error {
 // over the parcall results.
 func checkFunc(fd *FuncDecl) error {
 	only := func(e Expr, allowed ...string) error {
-		return exprVarsIn(e, allowed, fd.Pos)
+		var err error
+		ExprVars(e, func(v VarRef) {
+			if err == nil && !slices.Contains(allowed, v.Name) {
+				err = errf(v.Pos, "variable %q is not in scope here (allowed: %v)", v.Name, allowed)
+			}
+		})
+		return err
 	}
 	b, ok := fd.BaseCmp.(Binary)
 	if !ok || !b.Op.IsComparison() {
@@ -69,26 +77,6 @@ func checkFunc(fd *FuncDecl) error {
 		return err
 	}
 	return noComparisons(fd.Combine, fd.Pos)
-}
-
-func exprVarsIn(e Expr, allowed []string, pos Pos) error {
-	switch ex := e.(type) {
-	case IntLit:
-		return nil
-	case VarRef:
-		for _, a := range allowed {
-			if ex.Name == a {
-				return nil
-			}
-		}
-		return errf(ex.Pos, "variable %q is not in scope here (allowed: %v)", ex.Name, allowed)
-	case Binary:
-		if err := exprVarsIn(ex.L, allowed, pos); err != nil {
-			return err
-		}
-		return exprVarsIn(ex.R, allowed, pos)
-	}
-	return errf(pos, "unknown expression %T", e)
 }
 
 func noComparisons(e Expr, pos Pos) error {
@@ -251,13 +239,19 @@ func (c *checker) stmt(s Stmt) error {
 		// Declarations inside a branch may not shadow a name visible at
 		// the par: the flat register file would leak the branch-local
 		// value on the serial path but drop it on the promoted path,
-		// making the two elaborations disagree.
-		for _, branch := range [][]Stmt{st.A, st.B} {
-			for name := range DeclaredNames(branch) {
-				if _, visible := c.lookup(name); visible {
-					return errf(st.Pos, "par branch redeclares %q, which is visible outside the par", name)
+		// making the two elaborations disagree. The first such
+		// declaration in source order is reported.
+		shadow := ""
+		Inspect([]Stmt{st}, func(_ Stmt, sh Shape) bool {
+			for _, name := range sh.Declares {
+				if _, visible := c.lookup(name); visible && shadow == "" {
+					shadow = name
 				}
 			}
+			return shadow == ""
+		})
+		if shadow != "" {
+			return errf(st.Pos, "par branch redeclares %q, which is visible outside the par", shadow)
 		}
 		return checkParIndependence(st)
 
@@ -279,30 +273,23 @@ func (c *checker) stmt(s Stmt) error {
 	return errf(Pos{}, "unknown statement %T", s)
 }
 
-// checkParIndependence enforces the par discipline: the two branches
-// must be independent (no variable written by one branch is read or
-// written by the other), and neither may contain a call (calls push
-// frames on the program's one shared stack, which a forked branch would
-// race on) or a return (which branch returns first would depend on the
-// schedule). Under these rules the serial elaboration (A then B) and
-// every promoted interleaving compute the same stores, so par is
-// deterministic by construction — the statement-pair analogue of the
-// parfor reducer discipline.
+// checkParIndependence enforces the par discipline of ParIndependence.
+// Under it the serial elaboration (A then B) and every promoted
+// interleaving compute the same stores, so par is deterministic by
+// construction — the statement-pair analogue of the parfor reducer
+// discipline.
 func checkParIndependence(st Par) error {
-	ea, eb := RegionEffects(st.A), RegionEffects(st.B)
-	if ea.Calls || eb.Calls {
+	conflict, name := ParIndependence(st.A, st.B)
+	switch conflict {
+	case ConflictCall:
 		return errf(st.Pos, "call statements may not appear inside par branches")
-	}
-	if ea.Returns || eb.Returns {
+	case ConflictReturn:
 		return errf(st.Pos, "return statements may not appear inside par branches")
-	}
-	if name, ok := intersects(ea.Writes, eb.Writes); ok {
+	case ConflictWriteWrite:
 		return errf(st.Pos, "par branches are not independent: both branches write %q", name)
-	}
-	if name, ok := intersects(ea.Writes, eb.Reads); ok {
+	case ConflictWriteRead:
 		return errf(st.Pos, "par branches are not independent: the first branch writes %q, which the second reads", name)
-	}
-	if name, ok := intersects(eb.Writes, ea.Reads); ok {
+	case ConflictReadWrite:
 		return errf(st.Pos, "par branches are not independent: the second branch writes %q, which the first reads", name)
 	}
 	return nil

@@ -49,25 +49,27 @@ type Call struct {
 
 func (Call) stmt() {}
 
-// interpFunc evaluates a function application in the reference
-// interpreter.
+// callFunc evaluates a function application in the reference
+// interpreter. The function's expressions evaluate through the same
+// eval as statement bodies, each on a fresh environment holding only
+// the names in scope there.
 func (in *interp) callFunc(f *FuncDecl, arg int64) (int64, error) {
 	if err := in.tick(f.Pos); err != nil {
 		return 0, err
 	}
-	env := map[string]int64{f.Param: arg}
-	cond, err := evalIn(env, f.BaseCmp, f.Pos)
+	fr := interp{env: map[string]int64{f.Param: arg}}
+	cond, err := fr.eval(f.BaseCmp)
 	if err != nil {
 		return 0, err
 	}
 	if cond == 0 { // TPAL truth
-		return evalIn(env, f.BaseRet, f.Pos)
+		return fr.eval(f.BaseRet)
 	}
-	a1, err := evalIn(env, f.ArgA, f.Pos)
+	a1, err := fr.eval(f.ArgA)
 	if err != nil {
 		return 0, err
 	}
-	a2, err := evalIn(env, f.ArgB, f.Pos)
+	a2, err := fr.eval(f.ArgB)
 	if err != nil {
 		return 0, err
 	}
@@ -79,26 +81,6 @@ func (in *interp) callFunc(f *FuncDecl, arg int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return evalIn(map[string]int64{f.AName: ra, f.BName: rb}, f.Combine, f.Pos)
-}
-
-// evalIn evaluates a closed expression in a fixed environment.
-func evalIn(env map[string]int64, e Expr, pos Pos) (int64, error) {
-	switch ex := e.(type) {
-	case IntLit:
-		return ex.Value, nil
-	case VarRef:
-		return env[ex.Name], nil
-	case Binary:
-		l, err := evalIn(env, ex.L, pos)
-		if err != nil {
-			return 0, err
-		}
-		r, err := evalIn(env, ex.R, pos)
-		if err != nil {
-			return 0, err
-		}
-		return evalOp(ex.Op, l, r, ex.Pos)
-	}
-	return 0, errf(pos, "unknown expression %T", e)
+	fr.env = map[string]int64{f.AName: ra, f.BName: rb}
+	return fr.eval(f.Combine)
 }

@@ -60,13 +60,7 @@ func (w *effectsWalker) write(name string) {
 }
 
 func (w *effectsWalker) expr(e Expr) {
-	switch ex := e.(type) {
-	case VarRef:
-		w.read(ex.Name)
-	case Binary:
-		w.expr(ex.L)
-		w.expr(ex.R)
-	}
+	ExprVars(e, func(v VarRef) { w.read(v.Name) })
 }
 
 func (w *effectsWalker) stmts(ss []Stmt) {
@@ -131,34 +125,67 @@ func (w *effectsWalker) stmt(s Stmt) {
 // depth (var declarations and parfor index variables).
 func DeclaredNames(ss []Stmt) map[string]bool {
 	out := map[string]bool{}
-	var walk func([]Stmt)
-	walk = func(ss []Stmt) {
-		for _, s := range ss {
-			switch st := s.(type) {
-			case VarDecl:
-				out[st.Name] = true
-			case If:
-				walk(st.Then)
-				walk(st.Else)
-			case While:
-				walk(st.Body)
-			case ParFor:
-				out[st.Var] = true
-				walk(st.Body)
-			case Par:
-				walk(st.A)
-				walk(st.B)
-			}
+	Inspect(ss, func(_ Stmt, sh Shape) bool {
+		for _, name := range sh.Declares {
+			out[name] = true
 		}
-	}
-	walk(ss)
+		return true
+	})
 	return out
 }
 
-// intersects reports whether the two name sets share an element,
-// returning the lexicographically first shared name so messages (and
-// the golden verdict tables built from them) are deterministic.
-func intersects(a, b map[string]bool) (string, bool) {
+// ParConflict names the first reason two statement regions may not run
+// as the branches of a par.
+type ParConflict uint8
+
+// Par conflicts, in the order ParIndependence tests them.
+const (
+	Independent ParConflict = iota
+	// ConflictCall: a region contains a call, which pushes frames on
+	// the program's one shared stack, so a forked branch would race on it.
+	ConflictCall
+	// ConflictReturn: a region contains a return, and which branch
+	// returns first would depend on the schedule.
+	ConflictReturn
+	// ConflictWriteWrite: both regions write the shared name.
+	ConflictWriteWrite
+	// ConflictWriteRead: the first region writes the shared name and the
+	// second reads it.
+	ConflictWriteRead
+	// ConflictReadWrite: the first region reads the shared name and the
+	// second writes it.
+	ConflictReadWrite
+)
+
+// ParIndependence is the one statement-level dependence test behind both
+// the checker's par discipline and the autopar pair rule: regions a and b
+// are independent when neither contains a call or a return and no
+// variable one writes is read or written by the other. It returns the
+// first conflict in ParConflict order and, for the three data conflicts,
+// the lexicographically first shared name, so messages (and the golden
+// verdict tables built from them) are deterministic.
+func ParIndependence(a, b []Stmt) (ParConflict, string) {
+	ea, eb := RegionEffects(a), RegionEffects(b)
+	switch {
+	case ea.Calls || eb.Calls:
+		return ConflictCall, ""
+	case ea.Returns || eb.Returns:
+		return ConflictReturn, ""
+	}
+	if name, ok := firstShared(ea.Writes, eb.Writes); ok {
+		return ConflictWriteWrite, name
+	}
+	if name, ok := firstShared(ea.Writes, eb.Reads); ok {
+		return ConflictWriteRead, name
+	}
+	if name, ok := firstShared(eb.Writes, ea.Reads); ok {
+		return ConflictReadWrite, name
+	}
+	return Independent, ""
+}
+
+// firstShared returns the lexicographically first name both sets hold.
+func firstShared(a, b map[string]bool) (string, bool) {
 	var hit string
 	found := false
 	for k := range a {

@@ -56,12 +56,10 @@ func (s *Stack) Alloc(p Ptr, n int) (Ptr, error) {
 		return Ptr{}, fmt.Errorf("%w: salloc of %d cells", ErrStack, n)
 	}
 	newTop := p.Abs + n
-	for len(s.cells) <= newTop {
-		s.cells = append(s.cells, Value{})
+	if grow := newTop + 1 - len(s.cells); grow > 0 {
+		s.cells = append(s.cells, make([]Value, grow)...)
 	}
-	for i := p.Abs + 1; i <= newTop; i++ {
-		s.cells[i] = Value{}
-	}
+	clear(s.cells[p.Abs+1 : newTop+1])
 	s.top = newTop
 	return s.Top(), nil
 }

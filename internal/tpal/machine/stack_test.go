@@ -110,6 +110,11 @@ func TestStackRewoundPointerAlloc(t *testing.T) {
 	// relative to the rewound position.
 	s := NewStack()
 	sp, _ := s.Alloc(s.Top(), 7)
+	for k := int64(0); k < 7; k++ {
+		if err := s.Store(sp, k, IntV(100+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rewound := Ptr{Stack: s, Abs: 0}
 	sp2, err := s.Alloc(rewound, 2)
 	if err != nil {
@@ -118,7 +123,30 @@ func TestStackRewoundPointerAlloc(t *testing.T) {
 	if sp2.Abs != 2 {
 		t.Fatalf("alloc from rewound pointer: abs=%d, want 2", sp2.Abs)
 	}
-	_ = sp
+	// The two cells allocated over read nil again; the cell at the
+	// rewind point keeps what was written there.
+	for k := int64(0); k < 2; k++ {
+		if v, _ := s.Load(sp2, k); v.Kind != VNil {
+			t.Errorf("cell %d after rewound alloc = %v, want nil", sp2.Abs-int(k), v)
+		}
+	}
+	if v, _ := s.Load(sp2, 2); v != IntV(106) {
+		t.Errorf("cell 0 after rewound alloc = %v, want 106", v)
+	}
+}
+
+// TestStackAllocGrowsOnce pins that salloc grows the cell slice in one
+// step rather than a cell at a time.
+func TestStackAllocGrowsOnce(t *testing.T) {
+	allocs := testing.AllocsPerRun(10, func() {
+		s := NewStack()
+		if _, err := s.Alloc(s.Top(), 1<<16); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("NewStack plus one salloc of 1<<16 cells: %.0f allocations, want at most 2", allocs)
+	}
 }
 
 func TestStackErrors(t *testing.T) {
